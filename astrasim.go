@@ -426,7 +426,7 @@ func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
 			rings = append(rings, 2)
 		}
 	}
-	topo, err := topology.NewTorusND(sizes, topology.TorusNDConfig{Rings: rings})
+	topo, err := topology.NewTorusND(sizes, rings)
 	if err != nil {
 		return nil, err
 	}
@@ -622,21 +622,14 @@ func (p *Platform) RunCollectiveDetailed(op Op, bytes int64) (*CollectiveRun, er
 }
 
 // Train simulates the workload's training loop for the given number of
-// forward/backward passes.
+// forward/backward passes: the loop is unrolled into an execution graph
+// (CompileGraph) and replayed like RunGraph.
 func (p *Platform) Train(def Definition, passes int) (TrainingResult, error) {
-	inst, aud, err := p.instance()
+	g, err := graph.FromDefinition(def, passes)
 	if err != nil {
 		return TrainingResult{}, err
 	}
-	tr, err := workload.NewTrainer(inst, def, passes)
-	if err != nil {
-		return TrainingResult{}, err
-	}
-	res, err := tr.Run()
-	if err != nil {
-		return res, err
-	}
-	return res, auditErr(aud)
+	return p.RunGraph(g)
 }
 
 // PipelineConfig describes a GPipe-style pipeline-parallel run (the third
@@ -696,8 +689,8 @@ func ParseGraph(name string, r io.Reader) (*WorkloadGraph, error) { return graph
 // WriteGraph emits a graph as indented JSON (the -graph-dump format).
 func WriteGraph(w io.Writer, g *WorkloadGraph) error { return graph.Write(w, g) }
 
-// CompileGraph unrolls a layer-wise workload definition into an execution
-// graph whose replay is cycle-exact with Train.
+// CompileGraph unrolls a layer-wise workload definition into the
+// execution graph Train replays.
 func CompileGraph(def Definition, passes int) (*WorkloadGraph, error) {
 	return graph.FromDefinition(def, passes)
 }
@@ -758,8 +751,8 @@ func CompileModel(spec *ModelSpec, plan *ParallelismPlan, steps int) (*WorkloadG
 }
 
 // RunGraph replays an execution graph over the platform and folds
-// per-node accounting into the trainer's result shape (per-layer compute,
-// raw and exposed communication).
+// per-node accounting into a training result (per-layer compute, raw and
+// exposed communication).
 func (p *Platform) RunGraph(g *WorkloadGraph) (TrainingResult, error) {
 	inst, aud, err := p.instance()
 	if err != nil {

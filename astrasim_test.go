@@ -2,6 +2,9 @@ package astrasim_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"astrasim"
@@ -99,6 +102,35 @@ func TestPlatformTrain(t *testing.T) {
 	}
 	if res.TotalCycles == 0 || len(res.Layers) != len(def.Layers) {
 		t.Errorf("result = %d cycles, %d layers", res.TotalCycles, len(res.Layers))
+	}
+}
+
+// A layer whose collective scope names a dimension the topology lacks
+// fails the run with an error naming the layer and the scope; it must not
+// panic. transformer.txt scopes its activation all-gathers to the
+// vertical dimension, which a 2x2 all-to-all fabric does not have.
+func TestTrainScopeMissingFromTopology(t *testing.T) {
+	f, err := os.Open(filepath.Join("workloads", "transformer.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	def, err := astrasim.ParseWorkload("transformer.txt", f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := astrasim.NewPlatformFromSpec("a2a:2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Train(def, 1)
+	if err == nil {
+		t.Fatal("Train accepted a scope the topology lacks")
+	}
+	for _, want := range []string{"encoder1", "scope [vertical]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

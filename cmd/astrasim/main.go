@@ -21,9 +21,10 @@
 // packet drops with retransmit; see DESIGN.md §8) to the training run and
 // reports the dropped-packet and retransmit counters.
 //
-// -graph replays an execution-trace DAG (JSON, DESIGN.md §10) through the
-// dependency-driven graph engine instead of the layer-wise training loop;
-// -graph-dump compiles the selected -workload into that format and exits.
+// Every run replays an execution graph through the dependency-driven
+// graph engine (DESIGN.md §10): -workload is compiled into one (the
+// layer-wise training loop unrolled), -graph reads one from a JSON trace
+// instead, and -graph-dump writes the compiled -workload graph and exits.
 //
 // -model spec.json -plan plan.json compiles a versioned model spec under
 // a parallelism plan (dp/tp/pp/ep degrees, ZeRO stage, microbatches,
@@ -225,31 +226,27 @@ func main() {
 	if *auditFlag {
 		aud = audit.Attach(inst.Sys, inst.Net)
 	}
-	var res workload.Result
+	// Every front end ends in one execution graph: a compiled model, a
+	// loaded trace, or the layer-wise training loop unrolled.
+	g := modelGraph
 	var runName string
-	if modelGraph != nil {
-		runName = fmt.Sprintf("model %s (%d nodes)", modelGraph.Name, len(modelGraph.Nodes))
-		if res, err = graph.Run(inst, modelGraph); err != nil {
-			fatal(err)
-		}
-	} else if *graphFlag != "" {
-		g, err := graph.Load(*graphFlag)
-		if err != nil {
+	switch {
+	case g != nil:
+		runName = fmt.Sprintf("model %s (%d nodes)", g.Name, len(g.Nodes))
+	case *graphFlag != "":
+		if g, err = graph.Load(*graphFlag); err != nil {
 			fatal(err)
 		}
 		runName = fmt.Sprintf("graph %s (%d nodes)", g.Name, len(g.Nodes))
-		if res, err = graph.Run(inst, g); err != nil {
+	default:
+		if g, err = graph.FromDefinition(def, *passes); err != nil {
 			fatal(err)
 		}
-	} else {
 		runName = fmt.Sprintf("workload %s (%s)", def.Name, def.Parallelism)
-		tr, err := workload.NewTrainer(inst, def, *passes)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = tr.Run(); err != nil {
-			fatal(err)
-		}
+	}
+	res, err := graph.Run(inst, g)
+	if err != nil {
+		fatal(err)
 	}
 	if rec != nil {
 		fh, err := os.Create(*traceOut)

@@ -76,7 +76,7 @@ func TestSimulatorWithinAnalyticBounds(t *testing.T) {
 	cfgA.LocalSize, cfgA.HorizontalSize = 2, 4
 	cases = append(cases, tc{"2x4 a2a", a2a, cfgA})
 
-	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, topology.TorusNDConfig{})
+	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

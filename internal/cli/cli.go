@@ -313,7 +313,7 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 				rings = append(rings, 2)
 			}
 		}
-		nd, err := topology.NewTorusND(dims, topology.TorusNDConfig{Rings: rings})
+		nd, err := topology.NewTorusND(dims, rings)
 		if err != nil {
 			return nil, err
 		}

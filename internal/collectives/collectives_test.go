@@ -558,11 +558,11 @@ func TestStepBytesNeverZero(t *testing.T) {
 // The N-dimensional torus extension must produce correct all-reduce and
 // all-to-all schedules too.
 func TestTorusNDCollectiveCorrectness(t *testing.T) {
-	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, topology.TorusNDConfig{})
+	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd5, err := topology.NewTorusND([]int{2, 2, 2, 2, 2}, topology.TorusNDConfig{})
+	nd5, err := topology.NewTorusND([]int{2, 2, 2, 2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

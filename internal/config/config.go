@@ -26,9 +26,9 @@ const (
 	// layer assigns (lower value = more urgent), realizing §III-E's
 	// "further prioritizing and completing the first layer's
 	// communication operations before communication operations from
-	// later layers even though they were issued earlier". The trainer
-	// assigns each layer its index, so layer 0's gradients always jump
-	// the queue.
+	// later layers even though they were issued earlier". The layer-wise
+	// training loop assigns each layer its index, so layer 0's gradients
+	// always jump the queue.
 	Priority
 )
 

@@ -40,7 +40,7 @@ func Ext4D(o Options) ([]*report.Table, error) {
 	nShapes := len(shapes)
 	durs, err := parallel.Map(o.runner(), len(o.SweepSizes)*nShapes, func(i int) (eventq.Time, error) {
 		size, s := o.SweepSizes[i/nShapes], shapes[i%nShapes]
-		tp, err := topology.NewTorusND(s, topology.TorusNDConfig{})
+		tp, err := topology.NewTorusND(s, nil)
 		if err != nil {
 			return 0, err
 		}

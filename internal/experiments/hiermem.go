@@ -8,6 +8,7 @@ import (
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
 	"astrasim/internal/eventq"
+	"astrasim/internal/graph"
 	"astrasim/internal/models"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
@@ -100,11 +101,11 @@ func ExtMem(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		tr, err := workload.NewTrainer(inst, def, o.Passes)
+		g, err := graph.FromDefinition(def, o.Passes)
 		if err != nil {
 			return 0, err
 		}
-		res, err := tr.Run()
+		res, err := graph.Run(inst, g)
 		if err != nil {
 			return 0, fmt.Errorf("extmem %v/%s: %w", place, pool.name, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"astrasim/internal/compute"
 	"astrasim/internal/config"
+	"astrasim/internal/graph"
 	"astrasim/internal/models"
 	"astrasim/internal/parallel"
 	"astrasim/internal/report"
@@ -26,11 +27,11 @@ func runTraining(def workload.Definition, shape [3]int, policy config.Scheduling
 	if err != nil {
 		return workload.Result{}, err
 	}
-	tr, err := workload.NewTrainer(inst, def, passes)
+	g, err := graph.FromDefinition(def, passes)
 	if err != nil {
 		return workload.Result{}, err
 	}
-	return tr.Run()
+	return graph.Run(inst, g)
 }
 
 // resnetCache memoizes ResNet-50 runs shared by Figs. 14, 15 and 16.

@@ -9,14 +9,14 @@ import (
 )
 
 // FromDefinition compiles a layer-wise workload.Definition (DATA, MODEL,
-// or HYBRID parallelism) into an execution graph whose replay is
-// cycle-exact with the trainer: the node and dependency structure is an
-// exact unrolling of the training loop's continuation chains —
-// per-pass forward chains blocked by forward collectives, backward
-// chains overlapping input- and weight-gradient collectives, next-pass
-// forwards gated on the previous iteration's weight updates, and a final
-// drain — so compute, raw-comm, exposed-comm, and total-cycle accounting
-// all come out identical (asserted by the differential suite).
+// or HYBRID parallelism) into an execution graph: the unrolling of the
+// paper's training loop (§III-A, Fig. 8), and the only way a layer-wise
+// workload runs. Per pass, a forward chain is blocked by forward
+// collectives and a backward chain overlaps input- and weight-gradient
+// collectives; next-pass forwards are gated on the previous iteration's
+// weight updates, and a final drain waits out the last updates. Replay
+// is pinned cycle for cycle against an independently recorded reference
+// (testdata/trainer_reference.json).
 func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -63,7 +63,9 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 			Deps:  []string{id(p, pass, l)},
 			Layer: layer.Name, Pass: pass,
 			Op: op.String(), Scope: string(scope), Bytes: bytes,
-			// The layer index doubles as priority, as in the trainer.
+			// The layer index doubles as the collective's priority:
+			// under the Priority policy, earlier layers' gradients
+			// overtake later ones in the ready queue (§III-E).
 			Priority:    l,
 			UpdatePerKB: layer.UpdatePerKB,
 			Tag:         layer.Name + " " + pass,
@@ -83,7 +85,7 @@ func FromDefinition(def workload.Definition, passes int) (*Graph, error) {
 					// The new pass begins where the previous backward
 					// chain ended: layer 0's weight-gradient compute,
 					// its input-gradient exchange, then its weight
-					// update (the trainer's endPass continuation).
+					// update.
 					prev := def.Layers[0]
 					deps = append(deps, id(p-1, "wg", 0))
 					if active(prev.IGComm, prev.IGBytes) {

@@ -42,15 +42,14 @@ type nodeState struct {
 
 // Engine replays a validated Graph over a system instance.
 //
-// Scheduling is dependency-driven and mirrors the trainer's nested
-// sequential waits exactly: each node walks its dep list in declared
-// order in simulated time, suspending on unfinished deps, resuming via a
+// Scheduling is dependency-driven and models the training loop's nested
+// sequential waits: each node walks its dep list in declared order in
+// simulated time, suspending on unfinished deps, resuming via a
 // scheduled event at a collective's ready time (completion + local
-// update), and charging the stall to the dependency's layer as exposed
-// communication. Because the walk reproduces the trainer's continuation
-// structure event-for-event, a converted layer-wise workload replays
-// cycle-exactly, and exposed-vs-total analysis, trace spans, audit
-// conservation, fault plans, and oracle bounds apply unchanged.
+// update, plus the remote-memory pool stall for tensors placed there),
+// and charging the stall to the dependency's layer as exposed
+// communication. Trace spans, audit conservation, fault plans, and
+// oracle bounds apply to every graph alike.
 type Engine struct {
 	inst  *system.Instance
 	g     *Graph
@@ -157,12 +156,11 @@ func NewEngine(inst *system.Instance, g *Graph, opts Options) (*Engine, error) {
 }
 
 // Run replays the graph to completion and folds per-node accounting into
-// the trainer's result shape.
+// a workload.Result.
 func (e *Engine) Run() (workload.Result, error) {
 	// Every node's dependency walk begins at cycle 0 in declaration
-	// order: source nodes start synchronously (as the trainer starts
-	// forward(0,0) before Run), the rest suspend on their first
-	// unfinished dependency.
+	// order: source nodes start synchronously, before the event loop
+	// runs; the rest suspend on their first unfinished dependency.
 	for i := range e.g.Nodes {
 		e.walk(i, 0)
 	}
@@ -201,7 +199,7 @@ func (e *Engine) commKind(j int) bool {
 }
 
 // walk processes node i's dependencies from index d onward at the
-// current cycle — the trainer's chain of nested waits. Completed
+// current cycle — the training loop's chain of nested waits. Completed
 // communication deps whose ready time lies ahead charge the stall and
 // hop there via a scheduled event; unfinished deps suspend the walk as a
 // waiter on the dep. When the list is exhausted the node starts.
@@ -219,11 +217,10 @@ func (e *Engine) walk(i, d int) {
 			next := d + 1
 			ds.waiters = append(ds.waiters, func() {
 				// Runs inside j's completion. Non-comm deps resume the
-				// walk synchronously (the trainer's direct continuation
-				// call); comm deps charge the stall since the later of
-				// suspension and issue, then resume at the ready time
-				// (the trainer's eng.At(readyAt, k) — always a
-				// scheduled event, preserving event order).
+				// walk synchronously; comm deps charge the stall since
+				// the later of suspension and issue, then resume at the
+				// ready time — always through a scheduled event, which
+				// fixes the event order.
 				if !e.commKind(j) {
 					e.walk(i, next)
 					return
@@ -289,8 +286,8 @@ func (e *Engine) execute(i int) {
 	case KindComp, KindMem:
 		cycles := ns.cycles
 		if cycles == 0 {
-			// Zero-cost work completes synchronously (the trainer's
-			// delay(0, k) calls k directly).
+			// Zero-cost work completes synchronously, without an
+			// event.
 			e.complete(i, now)
 			return
 		}
@@ -312,7 +309,7 @@ func (e *Engine) execute(i int) {
 		}
 		raw, handles := commBuckets(st, n.Pass)
 		// Placement was validated by NewEngine; remote tensors pay the
-		// pool stall on top of the local update, like the trainer.
+		// pool stall on top of the local update.
 		p, _ := compute.ParsePlacement(n.Placement)
 		update := workload.Layer{UpdatePerKB: n.UpdatePerKB}.UpdateCycles(n.Bytes) +
 			e.remoteMemory().StallCycles(n.Bytes, p)
@@ -392,7 +389,7 @@ func commBuckets(st *workload.LayerStats, pass string) (*uint64, *[]*system.Hand
 
 // complete marks node i done at the current cycle with the given resume
 // deadline for dependents, then notifies suspended walks in registration
-// order (matching the trainer's synchronous continuation chains).
+// order, synchronously.
 func (e *Engine) complete(i int, effFinish eventq.Time) {
 	ns := &e.nodes[i]
 	ns.completed = true
@@ -416,7 +413,7 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// spanName labels a node's trace span: the trainer's "<pass> <layer>"
+// spanName labels a node's trace span: "<pass> <layer>"
 // when both are set, the node ID otherwise.
 func (e *Engine) spanName(n *Node) string {
 	if n.Layer != "" && n.Pass != "" {

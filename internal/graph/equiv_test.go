@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"astrasim/internal/collectives"
 	"astrasim/internal/config"
+	"astrasim/internal/eventq"
 	"astrasim/internal/system"
 	"astrasim/internal/topology"
 	"astrasim/internal/workload"
@@ -103,13 +105,78 @@ func syntheticModel() workload.Definition {
 	}
 }
 
-// TestConverterCycleExact is the tentpole acceptance test: for every
-// committed workload file plus synthetic DATA/MODEL definitions, across
-// two topology families and 1..2 passes, compiling the definition to a
-// graph and replaying it must reproduce the trainer's result
-// byte-for-byte — total cycles, per-layer compute, raw comm by pass,
-// exposed stalls, and per-collective durations.
+// referenceFile holds the layer-wise training loop's results for the
+// converter corpus. It was recorded by the continuation-passing trainer
+// (the hand-written scheduler FromDefinition unrolls) before that
+// scheduler was retired, so it is an independent reference: it must not
+// be re-recorded from the graph engine.
+const referenceFile = "testdata/trainer_reference.json"
+
+// refLayer is one layer row of a recorded result; handle spans are
+// [CreatedAt, DoneAt] pairs in issue order.
+type refLayer struct {
+	Name                             string
+	Compute, FwdComm, IGComm, WGComm uint64
+	Exposed                          uint64
+	FwdHandles, IGHandles, WGHandles [][2]eventq.Time
+}
+
+// refCase is one recorded run, keyed by its subtest name.
+type refCase struct {
+	Name        string
+	TotalCycles eventq.Time
+	Passes      int
+	Layers      []refLayer
+}
+
+// fromRef rebuilds a result from its recorded form; handles carry only
+// their spans.
+func fromRef(rc refCase) workload.Result {
+	handles := func(spans [][2]eventq.Time) []*system.Handle {
+		out := make([]*system.Handle, len(spans))
+		for i, s := range spans {
+			out[i] = &system.Handle{CreatedAt: s[0], DoneAt: s[1]}
+		}
+		return out
+	}
+	r := workload.Result{TotalCycles: rc.TotalCycles, Passes: rc.Passes}
+	for _, l := range rc.Layers {
+		r.Layers = append(r.Layers, workload.LayerStats{
+			Name: l.Name, ComputeCycles: l.Compute,
+			FwdCommCycles: l.FwdComm, IGCommCycles: l.IGComm, WGCommCycles: l.WGComm,
+			ExposedCycles: l.Exposed,
+			FwdHandles:    handles(l.FwdHandles), IGHandles: handles(l.IGHandles), WGHandles: handles(l.WGHandles),
+		})
+	}
+	return r
+}
+
+// loadReference reads the recorded results by case name.
+func loadReference(t *testing.T) map[string]refCase {
+	t.Helper()
+	raw, err := os.ReadFile(referenceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []refCase
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatalf("%s: %v", referenceFile, err)
+	}
+	out := make(map[string]refCase, len(cases))
+	for _, c := range cases {
+		out[c.Name] = c
+	}
+	return out
+}
+
+// TestConverterCycleExact pins the layer-wise workload path: for every
+// definition of the corpus, across two topology families and 1..2
+// passes, compiling the definition to a graph and replaying it must
+// reproduce the recorded training-loop result byte-for-byte — total
+// cycles, per-layer compute, raw comm by pass, exposed stalls, and every
+// collective's issue and completion cycle.
 func TestConverterCycleExact(t *testing.T) {
+	ref := loadReference(t)
 	defs := []workload.Definition{
 		loadWorkload(t, "dlrm.txt"),
 		loadWorkload(t, "resnet50.txt"),
@@ -132,13 +199,9 @@ func TestConverterCycleExact(t *testing.T) {
 					if testing.Short() && def.Name == "resnet50.txt" && passes == 2 {
 						t.Skip("skipping the slowest case in -short mode")
 					}
-					tr, err := workload.NewTrainer(newInst(t), def, passes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := tr.Run()
-					if err != nil {
-						t.Fatal(err)
+					want, ok := ref[name]
+					if !ok {
+						t.Fatalf("%s has no recorded case %s", referenceFile, name)
 					}
 					g, err := FromDefinition(def, passes)
 					if err != nil {
@@ -148,7 +211,7 @@ func TestConverterCycleExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					compareResults(t, want, got)
+					compareResults(t, fromRef(want), got)
 				})
 			}
 		}

@@ -1,18 +1,17 @@
-// Package graph is the execution-trace workload frontend: instead of the
-// fixed layer-wise training-loop algorithm of internal/workload, it
-// replays an arbitrary dependency DAG of compute, collective, point-to-
-// point, and memory nodes over the simulated system layer — the
-// generalization ASTRA-sim2.0 calls "graph-based execution traces"
-// (Chakra-style). Any schedule expressible as a DAG (1F1B pipelines,
+// Package graph is the workload engine: it replays a dependency DAG of
+// compute, collective, point-to-point, and memory nodes over the
+// simulated system layer — the generalization ASTRA-sim2.0 calls
+// "graph-based execution traces" (Chakra-style). Any schedule
+// expressible as a DAG (the layer-wise training loop, 1F1B pipelines,
 // overlapped/interleaved passes, MoE all-to-all patterns, real traces)
-// becomes a workload without touching the trainer.
+// is a workload.
 //
 // The package has three parts: a versioned JSON trace format
 // (Parse/Load/Validate), a dependency-driven scheduler (Engine) that
-// produces the same workload.Result accounting as the trainer, and
-// frontends (FromDefinition compiles a layer-wise Definition cycle-
-// exactly; Pipeline1F1B and Microbench generate schedules). See
-// DESIGN.md §10 and workloads/README.md for the format.
+// folds per-node costs into workload.Result accounting, and frontends
+// (FromDefinition unrolls the paper's layer-wise training loop;
+// Pipeline1F1B and Microbench generate schedules). See DESIGN.md §10 and
+// workloads/README.md for the format.
 package graph
 
 import (
@@ -40,7 +39,7 @@ const (
 	// shape resolved through the analytical accelerator model.
 	KindComp Kind = "COMP"
 	// KindComm is a collective (reduce-scatter, all-gather, all-reduce,
-	// all-to-all) issued through the system layer like the trainer's.
+	// all-to-all) issued through the system layer.
 	KindComm Kind = "COMM"
 	// KindSend transmits bytes point-to-point; it completes at issue
 	// time (asynchronous send) and unblocks its paired RECV on delivery.
@@ -63,7 +62,7 @@ type GEMMSpec struct {
 // Node is one trace node. Deps list node IDs that must complete before
 // this node starts; dependency order is semantically meaningful for
 // stall accounting (stalls are attributed by walking deps in declared
-// order, mirroring the trainer's nested sequential waits).
+// order, as the training loop waits on them one after another).
 type Node struct {
 	ID   string   `json:"id"`
 	Kind Kind     `json:"kind"`

@@ -398,6 +398,17 @@ func TestFromDefinitionRejectsDuplicateLayers(t *testing.T) {
 	}
 }
 
+// An empty definition and a non-positive pass count are rejected before
+// anything runs.
+func TestFromDefinitionValidation(t *testing.T) {
+	if _, err := FromDefinition(workload.Definition{Name: "empty"}, 1); err == nil {
+		t.Error("expected error for empty definition")
+	}
+	if _, err := FromDefinition(syntheticData(), 0); err == nil {
+		t.Error("expected error for zero passes")
+	}
+}
+
 func TestEngineZeroCycleGraph(t *testing.T) {
 	// An all-zero-cost chain completes at cycle 0 without hanging.
 	g := &Graph{

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -440,6 +442,41 @@ func TestWorkloadAndGraphJobs(t *testing.T) {
 	}
 	if tr.Kind != "graph" || tr.TotalCycles == 0 {
 		t.Errorf("graph result %+v", tr)
+	}
+}
+
+// TestWorkloadScopeMissingFromTopology submits a workload whose
+// activation all-gathers are scoped to the vertical dimension on a 2x2
+// all-to-all fabric, which has none: the job fails with the simulator's
+// error naming the layer and the scope, not through the panic backstop.
+func TestWorkloadScopeMissingFromTopology(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	text, err := os.ReadFile(filepath.Join("..", "..", "workloads", "transformer.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := json.Marshal(map[string]any{
+		"topology": "a2a:2x2", "backend": "fast",
+		"workload": map[string]any{"text": string(text), "passes": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := submit(t, ts, string(sub), nil)
+	if resp.StatusCode == http.StatusOK {
+		t.Fatalf("workload with a missing scope dimension succeeded: %s", body)
+	}
+	var env jobEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.State != stateFailed || strings.Contains(env.Error, "panicked") {
+		t.Fatalf("failure envelope %+v, want a failed job with the simulator's error", env)
+	}
+	for _, want := range []string{"encoder1", "scope [vertical]"} {
+		if !strings.Contains(env.Error, want) {
+			t.Errorf("error %q does not name %q", env.Error, want)
+		}
 	}
 }
 

@@ -363,7 +363,7 @@ func TestMappedCollectiveRuns(t *testing.T) {
 
 // A 4D torus runs all collectives to completion.
 func TestTorusNDCollectivesComplete(t *testing.T) {
-	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, topology.TorusNDConfig{})
+	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

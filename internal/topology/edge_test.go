@@ -106,13 +106,13 @@ func TestConstructorRejectsDegenerateShapes(t *testing.T) {
 	if _, err := NewTorus(2, 2, 2, TorusConfig{LocalRings: 0, HorizontalRings: 2, VerticalRings: 2}); err == nil {
 		t.Fatal("NewTorus accepted zero rings")
 	}
-	if _, err := NewTorusND([]int{8}, TorusNDConfig{}); err == nil {
+	if _, err := NewTorusND([]int{8}, nil); err == nil {
 		t.Fatal("NewTorusND accepted a single axis")
 	}
-	if _, err := NewTorusND([]int{2, 0, 2}, TorusNDConfig{}); err == nil {
+	if _, err := NewTorusND([]int{2, 0, 2}, nil); err == nil {
 		t.Fatal("NewTorusND accepted a zero axis")
 	}
-	if _, err := NewTorusND([]int{2, 2}, TorusNDConfig{Rings: []int{0}}); err == nil {
+	if _, err := NewTorusND([]int{2, 2}, []int{0}); err == nil {
 		t.Fatal("NewTorusND accepted zero rings")
 	}
 	if _, err := NewA2A(0, 4, DefaultA2AConfig()); err == nil {

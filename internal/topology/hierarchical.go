@@ -11,7 +11,7 @@ type DimKind int
 
 const (
 	// KindRing connects each group as parallel unidirectional rings
-	// (split-bidirectional beyond dimension 0, exactly like TorusND).
+	// (split-bidirectional beyond dimension 0, as in the torus).
 	KindRing DimKind = iota
 	// KindFullyConnected gives every ordered pair in a group a dedicated
 	// unidirectional link per lane (direct single-step exchange).
@@ -77,14 +77,14 @@ type fcKey struct {
 // topology: dimension 0 is the intra-package ("local") dimension, higher
 // dimensions connect NPUs with equal lower coordinates across groups —
 // the compositional network generalization of ASTRA-sim 2.0. Ring
-// dimensions reproduce TorusND's construction link-for-link (the
-// equivalence test pins this), fully-connected dimensions add a dedicated
-// unidirectional link per ordered pair per lane, and switch dimensions
-// add per-group switch nodes with up/down links per lane.
+// dimensions build a hierarchical torus (NewTorusND is the all-ring
+// composition), fully-connected dimensions add a dedicated unidirectional
+// link per ordered pair per lane, and switch dimensions add per-group
+// switch nodes with up/down links per lane.
 //
-// Node numbering matches TorusND: with sizes [S0, S1, ..., Sd] the
-// package index is mixed-radix over (S1..Sd) with S1 fastest, and
-// NPU id = pkg*S0 + local. Switch nodes occupy ids [NumNPUs, NumNodes).
+// Node numbering: with sizes [S0, S1, ..., Sd] the package index is
+// mixed-radix over (S1..Sd) with S1 fastest, and NPU id = pkg*S0 + local.
+// Switch nodes occupy ids [NumNPUs, NumNodes).
 type Hierarchical struct {
 	specs   []DimSpec
 	chans   []int // scheduling channels per dimension
@@ -101,6 +101,8 @@ type Hierarchical struct {
 	fc []map[fcKey]LinkID
 
 	switches int // total switch nodes across all switch dimensions
+	// name overrides the composition's spec-derived name (NewTorusND).
+	name string
 }
 
 // NewHierarchical builds the composition described by specs (at least one
@@ -129,7 +131,7 @@ func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
 		}
 		ch := s.Lanes
 		if s.Kind == KindRing && i > 0 {
-			ch = 2 * s.Lanes // split bidirectional rings, as in TorusND
+			ch = 2 * s.Lanes // split bidirectional rings
 		}
 		h.chans = append(h.chans, ch)
 	}
@@ -162,7 +164,7 @@ func (h *Hierarchical) makeRing(d Dim, channel int, base []Node, class LinkClass
 }
 
 // dimOf maps a dimension index to its Dim identifier (local first, then
-// the inter-package axes in declaration order, as in TorusND).
+// the inter-package axes in declaration order).
 func dimOf(i int) Dim {
 	if i == 0 {
 		return DimLocal
@@ -315,6 +317,9 @@ func (h *Hierarchical) Specs() []DimSpec { return append([]DimSpec(nil), h.specs
 
 // Name implements Topology.
 func (h *Hierarchical) Name() string {
+	if h.name != "" {
+		return h.name
+	}
 	parts := make([]string, len(h.specs))
 	for i, s := range h.specs {
 		parts[i] = s.String()

@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-// An all-ring Hierarchical composition must be structurally identical to
-// the TorusND it generalizes — same links in the same order, same
-// dimension metadata, same groups, rings, and per-hop paths. This is the
-// foundation of the byte-identical sim-level equivalence asserted in the
-// collectives package: once the link graphs and ring traversals coincide,
-// every schedule compiled over them coincides too.
+// NewTorusND must build exactly the all-ring Hierarchical composition it
+// stands for — local ring dimension in the package, bidirectional ring
+// dimensions across packages, lanes from the ring counts — with the same
+// links in the same order, the same dimension metadata, and the same
+// groups, rings, and per-hop paths. This is the foundation of the
+// byte-identical sim-level equivalence asserted in the collectives
+// package: once the link graphs and ring traversals coincide, every
+// schedule compiled over them coincides too.
 func TestHierarchicalAllRingEqualsTorusND(t *testing.T) {
 	cases := []struct {
 		sizes []int
@@ -22,7 +24,7 @@ func TestHierarchicalAllRingEqualsTorusND(t *testing.T) {
 		{[]int{1, 8}, []int{2, 2}},
 	}
 	for _, tc := range cases {
-		nd, err := NewTorusND(tc.sizes, TorusNDConfig{Rings: tc.rings})
+		nd, err := NewTorusND(tc.sizes, tc.rings)
 		if err != nil {
 			t.Fatal(err)
 		}

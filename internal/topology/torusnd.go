@@ -5,258 +5,50 @@ import (
 	"strings"
 )
 
-// TorusND generalizes the hierarchical torus to any number of
-// inter-package axes — the 4D/5D scale-up topologies the paper names as
-// future work (§III-C). Axis 0 is the local (intra-package) dimension
-// with unidirectional rings; every further axis is an inter-package
-// dimension of bidirectional rings (each split into two unidirectional
-// channels), connecting NPUs with the same local index across packages.
+// NewTorusND builds a hierarchical torus with the given axis sizes
+// ([local, A1, A2, ...]; at least two axes) — the 4D/5D scale-up
+// topologies the paper names as future work (§III-C) — as an all-ring
+// Hierarchical composition. Axis 0 is the local (intra-package)
+// dimension of unidirectional rings; every further axis is an
+// inter-package dimension of bidirectional rings (each split into two
+// unidirectional channels), connecting NPUs with the same local index
+// across packages. rings[0] counts local rings and rings[i>0] the
+// bidirectional rings of axis i; missing entries default to 2.
 //
-// Node numbering: with axes sizes [M, A1, A2, ..., Ad], the package index
+// Node numbering: with axis sizes [M, A1, A2, ..., Ad], the package index
 // is mixed-radix over (A1..Ad) with A1 fastest, and NPU id = pkg*M + l.
 // Hierarchical collectives phase through the axes in declaration order
-// (local, then A1, A2, ...), so TorusND([m, k, n]) behaves like the 3D
+// (local, then A1, A2, ...), so NewTorusND([m, k, n]) behaves like the 3D
 // NewTorus(m, n, k) whose phase order is local, vertical (k), horizontal
 // (n).
-type TorusND struct {
-	sizes   []int // [local, A1, A2, ...]
-	chans   []int // unidirectional channels per axis
-	strides []int // package-index stride per inter axis
-
-	links []LinkSpec
-	// rings[axis][group][channel]; ringSlots[axis] maps a group key to
-	// its slot in rings[axis].
-	rings     [][][]*Ring
-	ringSlots []map[int]int
-}
-
-// TorusNDConfig sets ring multiplicities per axis: Rings[0] counts
-// unidirectional local rings; Rings[i>0] counts bidirectional rings on
-// inter-package axis i. A nil or short slice defaults missing entries
-// to 2.
-type TorusNDConfig struct {
-	Rings []int
-}
-
-// NewTorusND builds a hierarchical torus with the given axis sizes
-// ([local, A1, A2, ...]; at least two axes).
-func NewTorusND(sizes []int, cfg TorusNDConfig) (*TorusND, error) {
+func NewTorusND(sizes, rings []int) (*Hierarchical, error) {
 	if len(sizes) < 2 {
-		return nil, fmt.Errorf("topology: TorusND needs >= 2 axes, got %v", sizes)
+		return nil, fmt.Errorf("topology: an N-D torus needs >= 2 axes, got %v", sizes)
 	}
-	for _, s := range sizes {
+	specs := make([]DimSpec, len(sizes))
+	parts := make([]string, len(sizes))
+	for i, s := range sizes {
 		if s <= 0 {
 			return nil, fmt.Errorf("topology: invalid torus sizes %v", sizes)
 		}
-	}
-	t := &TorusND{sizes: append([]int(nil), sizes...)}
-	for i := range sizes {
-		rings := 2
-		if i < len(cfg.Rings) {
-			rings = cfg.Rings[i]
+		lanes := 2
+		if i < len(rings) {
+			lanes = rings[i]
 		}
-		if rings <= 0 {
+		if lanes <= 0 {
 			return nil, fmt.Errorf("topology: ring count for axis %d must be positive", i)
 		}
+		class := InterPackage
 		if i == 0 {
-			t.chans = append(t.chans, rings) // unidirectional local rings
-		} else {
-			t.chans = append(t.chans, 2*rings) // split bidirectional rings
+			class = IntraPackage
 		}
-	}
-	stride := 1
-	t.strides = make([]int, len(sizes))
-	for i := 1; i < len(sizes); i++ {
-		t.strides[i] = stride
-		stride *= sizes[i]
-	}
-	t.build()
-	return t, nil
-}
-
-func (t *TorusND) addLink(src, dst Node, class LinkClass) LinkID {
-	id := LinkID(len(t.links))
-	t.links = append(t.links, LinkSpec{ID: id, Src: src, Dst: dst, Class: class})
-	return id
-}
-
-func (t *TorusND) makeRing(d Dim, channel int, base []Node, class LinkClass) *Ring {
-	nodes := ringDirection(base, channel)
-	r := &Ring{Dim: d, Channel: channel, Nodes: nodes}
-	if len(nodes) > 1 {
-		r.Links = make([]LinkID, len(nodes))
-		for i := range nodes {
-			r.Links[i] = t.addLink(nodes[i], nodes[(i+1)%len(nodes)], class)
-		}
-	}
-	return r
-}
-
-// dimOf maps an axis index to its Dim identifier.
-func (t *TorusND) dimOf(axis int) Dim {
-	if axis == 0 {
-		return DimLocal
-	}
-	// Inter axes in hierarchical phase order: the LAST axis is
-	// "vertical" (traversed right after local, like the 3D torus) only
-	// for the 3-axis case; in general we phase axes in declaration
-	// order using AxisDim.
-	return AxisDim(axis - 1)
-}
-
-// groupKey identifies the ring group a node belongs to along an axis: all
-// coordinates except that axis's.
-func (t *TorusND) groupKey(axis int, n Node) int {
-	l, pkgCoords := t.coords(n)
-	if axis == 0 {
-		return int(n) / t.sizes[0] // the package index
-	}
-	key := l
-	mult := t.sizes[0]
-	for i := 1; i < len(t.sizes); i++ {
-		if i == axis {
-			continue
-		}
-		key += pkgCoords[i] * mult
-		mult *= t.sizes[i]
-	}
-	return key
-}
-
-// coords returns the local index and per-axis package coordinates
-// (indexed by axis; entry 0 unused).
-func (t *TorusND) coords(n Node) (int, []int) {
-	if n < 0 || int(n) >= t.NumNPUs() {
-		panic(fmt.Sprintf("topology: node %d out of range for %s", n, t.Name()))
-	}
-	l := int(n) % t.sizes[0]
-	p := int(n) / t.sizes[0]
-	c := make([]int, len(t.sizes))
-	for i := 1; i < len(t.sizes); i++ {
-		c[i] = p / t.strides[i] % t.sizes[i]
-	}
-	return l, c
-}
-
-func (t *TorusND) build() {
-	t.rings = make([][][]*Ring, len(t.sizes))
-	for axis := range t.sizes {
-		numGroups := t.NumNPUs() / t.sizes[axis]
-		t.rings[axis] = make([][]*Ring, numGroups)
-		seen := make(map[int]int) // groupKey -> slot
-		for n := 0; n < t.NumNPUs(); n++ {
-			key := t.groupKey(axis, Node(n))
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			slot := len(seen)
-			seen[key] = slot
-			base := t.axisGroup(axis, Node(n))
-			class := InterPackage
-			if axis == 0 {
-				class = IntraPackage
-			}
-			chans := make([]*Ring, t.chans[axis])
-			for c := range chans {
-				chans[c] = t.makeRing(t.dimOf(axis), c, base, class)
-			}
-			t.rings[axis][slot] = chans
-		}
-		t.ringSlots = append(t.ringSlots, seen)
-	}
-}
-
-// axisGroup returns the ordered nodes sharing every coordinate with n
-// except along the given axis.
-func (t *TorusND) axisGroup(axis int, n Node) []Node {
-	l, c := t.coords(n)
-	out := make([]Node, t.sizes[axis])
-	for v := 0; v < t.sizes[axis]; v++ {
-		if axis == 0 {
-			p := 0
-			for i := 1; i < len(t.sizes); i++ {
-				p += c[i] * t.strides[i]
-			}
-			out[v] = Node(p*t.sizes[0] + v)
-			continue
-		}
-		p := 0
-		for i := 1; i < len(t.sizes); i++ {
-			coord := c[i]
-			if i == axis {
-				coord = v
-			}
-			p += coord * t.strides[i]
-		}
-		out[v] = Node(p*t.sizes[0] + l)
-	}
-	return out
-}
-
-// Name implements Topology.
-func (t *TorusND) Name() string {
-	parts := make([]string, len(t.sizes))
-	for i, s := range t.sizes {
+		specs[i] = DimSpec{Kind: KindRing, Size: s, Lanes: lanes, Class: class}
 		parts[i] = fmt.Sprint(s)
 	}
-	return strings.Join(parts, "x") + " torus"
-}
-
-// NumNPUs implements Topology.
-func (t *TorusND) NumNPUs() int {
-	n := 1
-	for _, s := range t.sizes {
-		n *= s
+	h, err := NewHierarchical(specs)
+	if err != nil {
+		return nil, err
 	}
-	return n
+	h.name = strings.Join(parts, "x") + " torus"
+	return h, nil
 }
-
-// NumNodes implements Topology.
-func (t *TorusND) NumNodes() int { return t.NumNPUs() }
-
-// Dims implements Topology: local first, then inter axes in declaration
-// order.
-func (t *TorusND) Dims() []DimInfo {
-	out := make([]DimInfo, len(t.sizes))
-	for i, s := range t.sizes {
-		out[i] = DimInfo{Dim: t.dimOf(i), Size: s, Channels: t.chans[i]}
-	}
-	return out
-}
-
-// axisOf inverts dimOf.
-func (t *TorusND) axisOf(d Dim) int {
-	for i := range t.sizes {
-		if t.dimOf(i) == d {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("topology: %s has no dimension %v", t.Name(), d))
-}
-
-// Group implements Topology.
-func (t *TorusND) Group(d Dim, n Node) []Node {
-	return t.axisGroup(t.axisOf(d), n)
-}
-
-// RingOf implements Topology.
-func (t *TorusND) RingOf(d Dim, n Node, channel int) *Ring {
-	axis := t.axisOf(d)
-	slot := t.ringSlots[axis][t.groupKey(axis, n)]
-	chans := t.rings[axis][slot]
-	return chans[channel%len(chans)]
-}
-
-// PathLinks implements Topology.
-func (t *TorusND) PathLinks(d Dim, channel int, src, dst Node) []LinkID {
-	r := t.RingOf(d, src, channel)
-	if next := r.Next(src); next != dst {
-		panic(fmt.Sprintf("topology: %d is not %d's successor on %v ring %d", dst, src, d, channel))
-	}
-	return []LinkID{r.LinkFrom(src)}
-}
-
-// Links implements Topology.
-func (t *TorusND) Links() []LinkSpec { return t.links }
-
-var _ Topology = (*TorusND)(nil)

@@ -2,9 +2,9 @@ package topology
 
 import "testing"
 
-func mustND(t *testing.T, sizes []int) *TorusND {
+func mustND(t *testing.T, sizes []int) *Hierarchical {
 	t.Helper()
-	nd, err := NewTorusND(sizes, TorusNDConfig{})
+	nd, err := NewTorusND(sizes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +140,13 @@ func TestTorusNDPathLinks(t *testing.T) {
 }
 
 func TestTorusNDErrors(t *testing.T) {
-	if _, err := NewTorusND([]int{4}, TorusNDConfig{}); err == nil {
+	if _, err := NewTorusND([]int{4}, nil); err == nil {
 		t.Error("expected error for single axis")
 	}
-	if _, err := NewTorusND([]int{2, 0, 2}, TorusNDConfig{}); err == nil {
+	if _, err := NewTorusND([]int{2, 0, 2}, nil); err == nil {
 		t.Error("expected error for zero axis size")
 	}
-	if _, err := NewTorusND([]int{2, 2}, TorusNDConfig{Rings: []int{0}}); err == nil {
+	if _, err := NewTorusND([]int{2, 2}, []int{0}); err == nil {
 		t.Error("expected error for zero ring count")
 	}
 }

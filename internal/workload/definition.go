@@ -1,8 +1,11 @@
 // Package workload implements the Workload layer of ASTRA-SIM (paper
-// §IV-A): it parses the DNN description input file (Fig. 8), runs the
-// training-loop algorithm over the simulated system layer, and accounts
+// §IV-A): it parses the DNN description input file (Fig. 8) into a
+// layer-wise Definition and defines the training run's accounting —
 // compute time, raw communication time, and *exposed* communication time
 // (stalls where training cannot proceed until a collective finishes).
+// The training loop itself runs on the graph engine: graph.FromDefinition
+// unrolls it into an execution graph and graph.Run replays that graph
+// over the system layer, returning a Result.
 package workload
 
 import (
