@@ -380,6 +380,10 @@ func WithGlobalSwitches(n int) Option {
 	return func(o *platformOpts) { o.switches = n }
 }
 
+func (o platformOpts) torus() topology.TorusConfig {
+	return topology.TorusConfig{LocalRings: o.localRings, HorizontalRings: o.horizontalRings, VerticalRings: o.verticalRings}
+}
+
 func buildOpts(opts []Option) platformOpts {
 	o := platformOpts{
 		sys:        config.DefaultSystem(),
@@ -396,14 +400,10 @@ func buildOpts(opts []Option) platformOpts {
 // horizontal x vertical (paper Fig. 3a).
 func NewTorusPlatform(local, horizontal, vertical int, opts ...Option) (*Platform, error) {
 	o := buildOpts(opts)
-	topo, err := topology.NewTorus(local, horizontal, vertical, topology.TorusConfig{
-		LocalRings: o.localRings, HorizontalRings: o.horizontalRings, VerticalRings: o.verticalRings})
+	topo, err := topology.NewTorus(local, horizontal, vertical, o.torus())
 	if err != nil {
 		return nil, err
 	}
-	o.sys.Topology = config.Torus3D
-	o.sys.LocalSize, o.sys.HorizontalSize, o.sys.VerticalSize = local, horizontal, vertical
-	o.sys.LocalRings, o.sys.HorizontalRings, o.sys.VerticalRings = o.localRings, o.horizontalRings, o.verticalRings
 	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
 }
 
@@ -415,25 +415,10 @@ func NewTorusPlatform(local, horizontal, vertical int, opts ...Option) (*Platfor
 // bidirectional rings).
 func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
 	o := buildOpts(opts)
-	rings := []int{o.localRings}
-	for i := 1; i < len(sizes); i++ {
-		switch i {
-		case 1:
-			rings = append(rings, o.verticalRings)
-		case 2:
-			rings = append(rings, o.horizontalRings)
-		default:
-			rings = append(rings, 2)
-		}
-	}
-	topo, err := topology.NewTorusND(sizes, rings)
+	topo, err := topology.NewTorusND(sizes, []int{o.localRings, o.verticalRings, o.horizontalRings})
 	if err != nil {
 		return nil, err
 	}
-	o.sys.Topology = config.TorusND
-	o.sys.LocalSize = sizes[0]
-	o.sys.HorizontalSize = topo.NumNPUs() / sizes[0]
-	o.sys.VerticalSize = 1
 	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
 }
 
@@ -444,8 +429,7 @@ func NewTorusNDPlatform(sizes []int, opts ...Option) (*Platform, error) {
 // live in the network config (WithNetwork).
 func NewScaleOutPlatform(podLocal, podHorizontal, podVertical, pods int, opts ...Option) (*Platform, error) {
 	o := buildOpts(opts)
-	pod, err := topology.NewTorus(podLocal, podHorizontal, podVertical, topology.TorusConfig{
-		LocalRings: o.localRings, HorizontalRings: o.horizontalRings, VerticalRings: o.verticalRings})
+	pod, err := topology.NewTorus(podLocal, podHorizontal, podVertical, o.torus())
 	if err != nil {
 		return nil, err
 	}
@@ -453,10 +437,6 @@ func NewScaleOutPlatform(podLocal, podHorizontal, podVertical, pods int, opts ..
 	if err != nil {
 		return nil, err
 	}
-	o.sys.Topology = config.TorusND
-	o.sys.LocalSize = podLocal
-	o.sys.HorizontalSize = so.NumNPUs() / podLocal
-	o.sys.VerticalSize = 1
 	return &Platform{topo: so, sys: o.sys, net: o.net}, nil
 }
 
@@ -472,9 +452,6 @@ func NewSwitchedPlatform(local, packages int, opts ...Option) (*Platform, error)
 	if err != nil {
 		return nil, err
 	}
-	o.sys.Topology = config.AllToAll
-	o.sys.LocalSize, o.sys.HorizontalSize = local, packages
-	o.sys.GlobalSwitches = o.switches
 	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
 }
 
@@ -505,7 +482,7 @@ func NewPlatformFromSpec(spec string, opts ...Option) (*Platform, error) {
 		HorizontalRings: o.horizontalRings,
 		VerticalRings:   o.verticalRings,
 		GlobalSwitches:  o.switches,
-	}, &o.sys)
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -521,9 +498,6 @@ func NewAllToAllPlatform(local, packages int, opts ...Option) (*Platform, error)
 	if err != nil {
 		return nil, err
 	}
-	o.sys.Topology = config.AllToAll
-	o.sys.LocalSize, o.sys.HorizontalSize = local, packages
-	o.sys.LocalRings, o.sys.GlobalSwitches = o.localRings, o.switches
 	return &Platform{topo: topo, sys: o.sys, net: o.net}, nil
 }
 

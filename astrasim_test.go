@@ -301,6 +301,26 @@ func TestPlatformFromHierSpec(t *testing.T) {
 	}
 }
 
+// Specs whose NPU count overflows int must fail by name at construction:
+// they used to build a zero-NPU fabric (the first two) or exhaust memory
+// (the third).
+func TestPlatformFromSpecRejectsNPUOverflow(t *testing.T) {
+	for spec, name := range map[string]string{
+		"hier:ring4294967296,ring4294967296": "ring4294967296+ring4294967296 hier",
+		"4294967296x4294967296":              "4294967296x4294967296 torus",
+		"3037000500x3037000500x2":            "3037000500x3037000500x2 torus",
+	} {
+		p, err := astrasim.NewPlatformFromSpec(spec)
+		if err == nil {
+			t.Errorf("%s: built a platform with %d NPUs", spec, p.NumNPUs())
+			continue
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %q does not name %q", spec, err, name)
+		}
+	}
+}
+
 // Training through the facade with a remote-placed layer must stall
 // exactly when a pool is armed: same workload, same platform shape —
 // the pool-armed run is strictly slower, the pool-free run identical

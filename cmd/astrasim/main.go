@@ -181,8 +181,6 @@ func main() {
 	}
 	cfg.PreferredSetSplits = *splits
 	cfg.EndpointDelay = *endpointDelay
-	cfg.LocalRings, cfg.HorizontalRings, cfg.VerticalRings = *localRings, *horizontalRings, *verticalRings
-	cfg.GlobalSwitches = *switches
 	if *remoteMem != "" {
 		if cfg.RemoteMemBandwidth, cfg.RemoteMemLatency, err = cli.ParseRemoteMem(*remoteMem); err != nil {
 			fatal(err)
@@ -194,7 +192,7 @@ func main() {
 		HorizontalRings: *horizontalRings,
 		VerticalRings:   *verticalRings,
 		GlobalSwitches:  *switches,
-	}, &cfg)
+	}, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -64,7 +64,6 @@ func TestSimulatorWithinAnalyticBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg1 := config.DefaultSystem()
-	cfg1.LocalSize, cfg1.HorizontalSize, cfg1.VerticalSize = 1, 8, 1
 	cases = append(cases, tc{"1x8x1", t1, cfg1})
 
 	a2a, err := topology.NewA2A(2, 4, topology.DefaultA2AConfig())
@@ -72,8 +71,6 @@ func TestSimulatorWithinAnalyticBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgA := config.DefaultSystem()
-	cfgA.Topology = config.AllToAll
-	cfgA.LocalSize, cfgA.HorizontalSize = 2, 4
 	cases = append(cases, tc{"2x4 a2a", a2a, cfgA})
 
 	nd, err := topology.NewTorusND([]int{2, 2, 2, 2}, nil)
@@ -81,8 +78,6 @@ func TestSimulatorWithinAnalyticBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgN := config.DefaultSystem()
-	cfgN.Topology = config.TorusND
-	cfgN.LocalSize, cfgN.HorizontalSize, cfgN.VerticalSize = 2, 8, 1
 	cases = append(cases, tc{"2x2x2x2", nd, cfgN})
 
 	net := config.DefaultNetwork()

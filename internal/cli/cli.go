@@ -192,13 +192,16 @@ type TopologyOptions struct {
 	GlobalSwitches  int
 }
 
+func (o TopologyOptions) torus() topology.TorusConfig {
+	return topology.TorusConfig{LocalRings: o.LocalRings, HorizontalRings: o.HorizontalRings, VerticalRings: o.VerticalRings}
+}
+
 // DefaultTopologyOptions matches Table IV.
 func DefaultTopologyOptions() TopologyOptions {
 	return TopologyOptions{LocalRings: 2, HorizontalRings: 2, VerticalRings: 2, GlobalSwitches: 2}
 }
 
-// BuildTopology parses a topology spec and constructs it, updating cfg's
-// topology fields in place:
+// BuildTopology parses a topology spec and constructs it:
 //
 //	"MxNxK"        hierarchical 3D torus (local x horizontal x vertical)
 //	"MxA1x...xAd"  N-dimensional torus for d != 2 inter axes
@@ -211,22 +214,18 @@ func DefaultTopologyOptions() TopologyOptions {
 //	               <kind><size>[x<lanes>][@<class>] dimensions (see
 //	               ParseHierSpec), e.g. "hier:sw8,fc4,ring32" for a
 //	               DGX-like NVSwitch + multi-rail + ring scale-out
+//
+// The returned topology is the only description of the fabric. cfg is
+// neither read nor written (it may be nil); the parameter stays so that
+// callers written against the earlier signature, which copied the shape
+// into cfg, build unchanged.
 func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topology.Topology, error) {
 	if hierSpec, ok := strings.CutPrefix(spec, "hier:"); ok {
 		specs, err := ParseHierSpec(hierSpec, opts)
 		if err != nil {
 			return nil, err
 		}
-		h, err := topology.NewHierarchical(specs)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.Hierarchical
-		cfg.LocalSize = specs[0].Size
-		cfg.HorizontalSize = h.NumNPUs() / specs[0].Size
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return h, nil
+		return topology.NewHierarchical(specs)
 	}
 	if swSpec, ok := strings.CutPrefix(spec, "sw:"); ok {
 		dims, err := ParseDims(swSpec)
@@ -236,9 +235,6 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if len(dims) != 2 {
 			return nil, fmt.Errorf("cli: switched topology %q: want MxN", spec)
 		}
-		cfg.Topology = config.AllToAll
-		cfg.LocalSize, cfg.HorizontalSize = dims[0], dims[1]
-		cfg.GlobalSwitches = opts.GlobalSwitches
 		return topology.NewSwitched(dims[0], dims[1], topology.SwitchedConfig{
 			LocalSwitches: 1, GlobalSwitches: opts.GlobalSwitches})
 	}
@@ -258,21 +254,11 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if err != nil || pods <= 1 {
 			return nil, fmt.Errorf("cli: scale-out pods %q: want an integer >= 2", podsStr)
 		}
-		pod, err := topology.NewTorus(dims[0], dims[1], dims[2], topology.TorusConfig{
-			LocalRings: opts.LocalRings, HorizontalRings: opts.HorizontalRings, VerticalRings: opts.VerticalRings})
+		pod, err := topology.NewTorus(dims[0], dims[1], dims[2], opts.torus())
 		if err != nil {
 			return nil, err
 		}
-		so, err := topology.NewScaleOut(pod, pods, opts.GlobalSwitches)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.TorusND
-		cfg.LocalSize = dims[0]
-		cfg.HorizontalSize = so.NumNPUs() / dims[0]
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return so, nil
+		return topology.NewScaleOut(pod, pods, opts.GlobalSwitches)
 	}
 	if a2aSpec, ok := strings.CutPrefix(spec, "a2a:"); ok {
 		dims, err := ParseDims(a2aSpec)
@@ -282,9 +268,6 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 		if len(dims) != 2 {
 			return nil, fmt.Errorf("cli: alltoall topology %q: want MxN", spec)
 		}
-		cfg.Topology = config.AllToAll
-		cfg.LocalSize, cfg.HorizontalSize = dims[0], dims[1]
-		cfg.LocalRings, cfg.GlobalSwitches = opts.LocalRings, opts.GlobalSwitches
 		return topology.NewA2A(dims[0], dims[1], topology.A2AConfig{
 			LocalRings: opts.LocalRings, GlobalSwitches: opts.GlobalSwitches})
 	}
@@ -292,36 +275,12 @@ func BuildTopology(spec string, opts TopologyOptions, cfg *config.System) (topol
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case len(dims) < 2:
+	switch len(dims) {
+	case 1:
 		return nil, fmt.Errorf("cli: topology %q: want at least local x axis", spec)
-	case len(dims) == 3:
-		cfg.Topology = config.Torus3D
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = dims[0], dims[1], dims[2]
-		cfg.LocalRings, cfg.HorizontalRings, cfg.VerticalRings = opts.LocalRings, opts.HorizontalRings, opts.VerticalRings
-		return topology.NewTorus(dims[0], dims[1], dims[2], topology.TorusConfig{
-			LocalRings: opts.LocalRings, HorizontalRings: opts.HorizontalRings, VerticalRings: opts.VerticalRings})
-	default:
-		rings := []int{opts.LocalRings}
-		for i := 1; i < len(dims); i++ {
-			switch i {
-			case 1:
-				rings = append(rings, opts.VerticalRings)
-			case 2:
-				rings = append(rings, opts.HorizontalRings)
-			default:
-				rings = append(rings, 2)
-			}
-		}
-		nd, err := topology.NewTorusND(dims, rings)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = config.TorusND
-		cfg.LocalSize = dims[0]
-		cfg.HorizontalSize = nd.NumNPUs() / dims[0]
-		cfg.VerticalSize = 1
-		cfg.LocalRings = opts.LocalRings
-		return nd, nil
+	case 3:
+		return topology.NewTorus(dims[0], dims[1], dims[2], opts.torus())
 	}
+	// Axes past the first three take NewTorusND's default ring count.
+	return topology.NewTorusND(dims, []int{opts.LocalRings, opts.VerticalRings, opts.HorizontalRings})
 }

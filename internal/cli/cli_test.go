@@ -47,8 +47,11 @@ func TestBuildTopologyTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 32 || cfg.Topology != config.Torus3D {
-		t.Errorf("topo = %s, cfg kind %v", topo.Name(), cfg.Topology)
+	if topo.NumNPUs() != 32 || topo.Name() != "2x4x4 torus" {
+		t.Errorf("topo = %s (%d NPUs)", topo.Name(), topo.NumNPUs())
+	}
+	if cfg != config.DefaultSystem() {
+		t.Errorf("BuildTopology wrote the system config: %+v", cfg)
 	}
 }
 
@@ -60,8 +63,8 @@ func TestBuildTopologyA2A(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 8 || cfg.Topology != config.AllToAll || cfg.GlobalSwitches != 7 {
-		t.Errorf("topo = %s, cfg %+v", topo.Name(), cfg)
+	if topo.NumNPUs() != 8 || topo.Name() != "1x8 alltoall" || topo.Dims()[1].Channels != 7 {
+		t.Errorf("topo = %s, dims %+v", topo.Name(), topo.Dims())
 	}
 }
 
@@ -71,8 +74,8 @@ func TestBuildTopologyND(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.NumNPUs() != 16 || cfg.Topology != config.TorusND {
-		t.Errorf("topo = %s (%d NPUs), kind %v", topo.Name(), topo.NumNPUs(), cfg.Topology)
+	if topo.NumNPUs() != 16 || topo.Name() != "2x2x2x2 torus" {
+		t.Errorf("topo = %s (%d NPUs)", topo.Name(), topo.NumNPUs())
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("ND config invalid: %v", err)

@@ -91,10 +91,6 @@ func FuzzParseConfig(f *testing.F) {
 		if topo.Name() == "" {
 			t.Fatalf("BuildTopology(%q): empty name", topoSpec)
 		}
-		if cfg.LocalSize < 1 || cfg.HorizontalSize < 1 || cfg.VerticalSize < 1 {
-			t.Fatalf("BuildTopology(%q): config sizes %dx%dx%d not normalized",
-				topoSpec, cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize)
-		}
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 	"astrasim/internal/topology"
 )
 
-func mustTorus(t *testing.T, m, n, k int) *topology.Torus {
+func mustTorus(t *testing.T, m, n, k int) *topology.Hierarchical {
 	t.Helper()
 	tp, err := topology.NewTorus(m, n, k, topology.DefaultTorusConfig())
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package config holds the simulator's input parameters.
 //
 // The parameter set mirrors Table III of the paper (workload, system, and
-// Garnet/network levels) and the defaults mirror Table IV ("System
+// Garnet/network levels), except the fabric shape (#4-5, #8-12), which the
+// topology package owns; the defaults mirror Table IV ("System
 // Parameters" used for all experiments). Time is in cycles at a 1 GHz
 // clock, so 1 cycle = 1 ns and a 200 GB/s link moves 200 bytes per cycle.
 package config
@@ -92,41 +93,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return Enhanced, nil
 	}
 	return 0, fmt.Errorf("config: unknown algorithm %q", s)
-}
-
-// TopologyKind is Table III parameter #8: the logical network topology.
-type TopologyKind int
-
-const (
-	// Torus3D is the hierarchical torus: local (intra-package) rings plus
-	// horizontal and vertical inter-package rings (paper Fig. 3a).
-	Torus3D TopologyKind = iota
-	// AllToAll is the hierarchical alltoall: local rings inside a package
-	// plus global switches connecting every NPU to every package
-	// (paper Fig. 3b).
-	AllToAll
-	// TorusND is the N-dimensional hierarchical torus extension (the
-	// paper's 4D/5D future work): one local dimension plus any number of
-	// inter-package ring axes.
-	TorusND
-	// Hierarchical is the compositional N-dimensional topology of the
-	// ASTRA-sim 2.0 feature set: an ordered list of Ring / FullyConnected
-	// / Switch dimensions, each with its own link class and lane count.
-	Hierarchical
-)
-
-func (k TopologyKind) String() string {
-	switch k {
-	case Torus3D:
-		return "Torus3D"
-	case AllToAll:
-		return "AllToAll"
-	case TorusND:
-		return "TorusND"
-	case Hierarchical:
-		return "Hierarchical"
-	}
-	return fmt.Sprintf("TopologyKind(%d)", int(k))
 }
 
 // PacketRouting is Table III parameter #14. All paper experiments use
@@ -318,7 +284,10 @@ func (n Network) Validate() error {
 	return nil
 }
 
-// System collects the system-layer parameters (Table III #3-16).
+// System collects the system-layer parameters (Table III #3, #6-7 and
+// #13-16). Table III #4-5 and #8-12 (NPU and package counts, topology,
+// ring and switch counts) describe the fabric and are owned by the
+// topology.Topology a simulation runs on, never mirrored here.
 type System struct {
 	// Algorithm selects baseline vs enhanced hierarchical collectives.
 	Algorithm Algorithm
@@ -328,27 +297,6 @@ type System struct {
 	// the choice flows through every Platform, sweep, and experiment
 	// without new plumbing.
 	Backend Backend
-	// Topology is the logical topology kind.
-	Topology TopologyKind
-	// LocalSize is the number of NAMs (NPUs) per package: the "M" of an
-	// MxNxK torus or MxN alltoall.
-	LocalSize int
-	// HorizontalSize is the "N" of the torus (packages per row), or the
-	// alltoall package count.
-	HorizontalSize int
-	// VerticalSize is the "K" of the torus (package rows). Unused for
-	// the alltoall topology.
-	VerticalSize int
-	// LocalRings is Table III #9: unidirectional rings in the local
-	// dimension (Table IV: 2).
-	LocalRings int
-	// VerticalRings is Table III #10: bidirectional rings in the vertical
-	// dimension (Table IV: 2).
-	VerticalRings int
-	// HorizontalRings is Table III #11 (Table IV: 2).
-	HorizontalRings int
-	// GlobalSwitches is Table III #12: switches of the alltoall topology.
-	GlobalSwitches int
 	// EndpointDelay is Table III #13: the constant NMU delay charged
 	// after receiving a message, in cycles (Table IV: 10).
 	EndpointDelay uint64
@@ -402,19 +350,12 @@ type System struct {
 }
 
 // DefaultSystem returns the system parameters used by the paper's
-// experiments: a 4x4x4 torus with 2 rings per dimension, endpoint delay of
-// 10 cycles, LIFO scheduling, 16 chunk splits, and the T=8/P=16 dispatcher.
+// experiments: endpoint delay of 10 cycles, LIFO scheduling, 64 chunk
+// splits, and the T=8/P=16 dispatcher. The topology and its ring and
+// switch counts are not system parameters; they come from the topology.
 func DefaultSystem() System {
 	return System{
 		Algorithm:          Baseline,
-		Topology:           Torus3D,
-		LocalSize:          4,
-		HorizontalSize:     4,
-		VerticalSize:       4,
-		LocalRings:         2,
-		VerticalRings:      2,
-		HorizontalRings:    2,
-		GlobalSwitches:     2,
 		EndpointDelay:      10,
 		TransportDelay:     500,
 		SchedulingPolicy:   LIFO,
@@ -427,40 +368,11 @@ func DefaultSystem() System {
 	}
 }
 
-// NumNPUs returns the total NPU count of the configured topology
-// (Table III #4).
-func (s System) NumNPUs() int {
-	if s.Topology == AllToAll {
-		return s.LocalSize * s.HorizontalSize
-	}
-	return s.LocalSize * s.HorizontalSize * s.VerticalSize
-}
-
-// NumPackages returns the total package count (Table III #5).
-func (s System) NumPackages() int {
-	if s.Topology == AllToAll {
-		return s.HorizontalSize
-	}
-	return s.HorizontalSize * s.VerticalSize
-}
-
 // Validate reports the first invalid system parameter, if any.
 func (s System) Validate() error {
 	switch {
 	case s.Backend != PacketBackend && s.Backend != FastBackend:
 		return fmt.Errorf("config: unknown network backend %d", int(s.Backend))
-	case s.LocalSize <= 0:
-		return errors.New("config: LocalSize must be positive")
-	case s.HorizontalSize <= 0:
-		return errors.New("config: HorizontalSize must be positive")
-	case s.Topology == Torus3D && s.VerticalSize <= 0:
-		return errors.New("config: VerticalSize must be positive for Torus3D")
-	case s.LocalRings <= 0:
-		return errors.New("config: LocalRings must be positive")
-	case s.Topology == Torus3D && (s.VerticalRings <= 0 || s.HorizontalRings <= 0):
-		return errors.New("config: torus ring counts must be positive")
-	case s.Topology == AllToAll && s.GlobalSwitches <= 0:
-		return errors.New("config: GlobalSwitches must be positive for AllToAll")
 	case s.PreferredSetSplits <= 0:
 		return errors.New("config: PreferredSetSplits must be positive")
 	case s.LSQWidth <= 0:

@@ -145,17 +145,12 @@ func asymmetricNet(pktCap int) config.Network {
 // torusSystem builds a torus topology plus a matching system config on
 // the requested network backend; o also carries the intra-run
 // parallelism setting into every instance the figure creates.
-func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, o Options) (*topology.Torus, config.System, error) {
+func torusSystem(m, n, k int, tc topology.TorusConfig, alg config.Algorithm, o Options) (*topology.Hierarchical, config.System, error) {
 	tp, err := topology.NewTorus(m, n, k, tc)
 	if err != nil {
 		return nil, config.System{}, err
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = m, n, k
-	cfg.LocalRings = tc.LocalRings
-	cfg.HorizontalRings = tc.HorizontalRings
-	cfg.VerticalRings = tc.VerticalRings
 	cfg.Algorithm = alg
 	cfg.Backend = o.Backend
 	cfg.IntraParallel = o.IntraParallel
@@ -171,10 +166,6 @@ func a2aSystem(m, n int, ac topology.A2AConfig, alg config.Algorithm, o Options)
 		return nil, config.System{}, err
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.AllToAll
-	cfg.LocalSize, cfg.HorizontalSize = m, n
-	cfg.LocalRings = ac.LocalRings
-	cfg.GlobalSwitches = ac.GlobalSwitches
 	cfg.Algorithm = alg
 	cfg.Backend = o.Backend
 	cfg.IntraParallel = o.IntraParallel

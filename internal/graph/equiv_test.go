@@ -24,8 +24,6 @@ func newTorusInstance(t testing.TB) *system.Instance {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 2
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +39,6 @@ func newA2AInstance(t testing.TB) *system.Instance {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.AllToAll
-	cfg.LocalSize, cfg.HorizontalSize = 2, 2
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)

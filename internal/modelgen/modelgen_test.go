@@ -146,8 +146,6 @@ func replay(t *testing.T, g *graph.Graph, backend config.Backend) workload.Resul
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.Torus3D
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 2
 	cfg.Backend = backend
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {

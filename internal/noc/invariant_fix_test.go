@@ -15,7 +15,7 @@ import (
 // torus2x2 builds a 2x2x1 torus whose local links (IntraPackage, 512 B
 // packets by default) and horizontal links (InterPackage, 256 B) have
 // different packet-size classes.
-func torus2x2(t *testing.T, p config.Network) (*eventq.Engine, *topology.Torus, *Network) {
+func torus2x2(t *testing.T, p config.Network) (*eventq.Engine, *topology.Hierarchical, *Network) {
 	t.Helper()
 	topo, err := topology.NewTorus(2, 2, 1, topology.TorusConfig{LocalRings: 1, HorizontalRings: 1, VerticalRings: 1})
 	if err != nil {

@@ -166,8 +166,6 @@ func TestSimulationJobsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.Topology = config.Torus3D
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 2
 		net := config.DefaultNetwork()
 		net.MaxPacketsPerMessage = 16
 		out, err := parallel.Map(parallel.New(workers), len(sizes), func(i int) (uint64, error) {

@@ -272,6 +272,21 @@ func TestMalformedSubmissions4xx(t *testing.T) {
 	}
 }
 
+// A topology whose NPU count overflows int is the client's error: 400
+// naming the topology, not a 500 about a config field the client never
+// sent.
+func TestOverflowingTopology400(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, body := submit(t, ts, `{"topology": "hier:ring4294967296,ring4294967296",
+		"collective": {"op": "allreduce", "bytes": 1024}}`, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "ring4294967296+ring4294967296 hier") {
+		t.Fatalf("overflowing topology: %d %s, want 400 naming the topology", resp.StatusCode, body)
+	}
+	if resp, body := submit(t, ts, smallAllReduce, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid submission after overflow: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestPanicBackstop injects a panic into a running job: the submitter
 // gets a 500, and the daemon serves the next request normally.
 func TestPanicBackstop(t *testing.T) {

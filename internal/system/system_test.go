@@ -9,7 +9,7 @@ import (
 	"astrasim/internal/topology"
 )
 
-func torus(t *testing.T, m, n, k int, cfg topology.TorusConfig) *topology.Torus {
+func torus(t *testing.T, m, n, k int, cfg topology.TorusConfig) *topology.Hierarchical {
 	t.Helper()
 	tp, err := topology.NewTorus(m, n, k, cfg)
 	if err != nil {
@@ -18,27 +18,9 @@ func torus(t *testing.T, m, n, k int, cfg topology.TorusConfig) *topology.Torus 
 	return tp
 }
 
-func sysCfgFor(tp topology.Topology) config.System {
-	c := config.DefaultSystem()
-	switch v := tp.(type) {
-	case *topology.Torus:
-		c.Topology = config.Torus3D
-		dims := v.Dims()
-		c.LocalSize = dims[0].Size
-		c.VerticalSize = dims[1].Size
-		c.HorizontalSize = dims[2].Size
-	case *topology.A2A:
-		c.Topology = config.AllToAll
-		c.LocalSize = v.Dims()[0].Size
-		c.HorizontalSize = v.Dims()[1].Size
-		c.GlobalSwitches = v.Switches()
-	}
-	return c
-}
-
 func TestSingleRingAllReduceCompletes(t *testing.T) {
 	tp := torus(t, 1, 2, 1, topology.DefaultTorusConfig())
-	h, err := RunCollective(tp, sysCfgFor(tp), config.DefaultNetwork(), collectives.AllReduce, 1<<20)
+	h, err := RunCollective(tp, config.DefaultSystem(), config.DefaultNetwork(), collectives.AllReduce, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +50,7 @@ func TestAllCollectivesCompleteOnAllTopologies(t *testing.T) {
 	for _, tp := range topos {
 		for _, op := range ops {
 			for _, alg := range []config.Algorithm{config.Baseline, config.Enhanced} {
-				cfg := sysCfgFor(tp)
+				cfg := config.DefaultSystem()
 				cfg.Algorithm = alg
 				h, err := RunCollective(tp, cfg, config.DefaultNetwork(), op, 256<<10)
 				if err != nil {
@@ -89,7 +71,7 @@ func TestRingAllReduceApproachesBandwidthBound(t *testing.T) {
 	tp := torus(t, 1, 8, 1, topology.DefaultTorusConfig()) // 4 channels
 	const S = 16 << 20
 	net := config.DefaultNetwork()
-	h, err := RunCollective(tp, sysCfgFor(tp), net, collectives.AllReduce, S)
+	h, err := RunCollective(tp, config.DefaultSystem(), net, collectives.AllReduce, S)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +93,7 @@ func TestEnhancedBeatsBaselineOnAsymmetricTorus(t *testing.T) {
 	tp := torus(t, 4, 4, 4, topology.DefaultTorusConfig())
 	net := config.DefaultNetwork() // local 200 = 8 x 25 inter: asymmetric
 	run := func(alg config.Algorithm) float64 {
-		cfg := sysCfgFor(tp)
+		cfg := config.DefaultSystem()
 		cfg.Algorithm = alg
 		h, err := RunCollective(tp, cfg, net, collectives.AllReduce, 8<<20)
 		if err != nil {
@@ -140,11 +122,11 @@ func TestFig9AllReduceTorusWinsLarge(t *testing.T) {
 	}
 	const S = 32 << 20
 	net := config.DefaultNetwork()
-	ht, err := RunCollective(torusTp, sysCfgFor(torusTp), net, collectives.AllReduce, S)
+	ht, err := RunCollective(torusTp, config.DefaultSystem(), net, collectives.AllReduce, S)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha, err := RunCollective(a2aTp, sysCfgFor(a2aTp), net, collectives.AllReduce, S)
+	ha, err := RunCollective(a2aTp, config.DefaultSystem(), net, collectives.AllReduce, S)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +145,11 @@ func TestFig9AllToAllTopologyWins(t *testing.T) {
 	}
 	net := config.DefaultNetwork()
 	for _, S := range []int64{1 << 20, 32 << 20} {
-		ht, err := RunCollective(torusTp, sysCfgFor(torusTp), net, collectives.AllToAll, S)
+		ht, err := RunCollective(torusTp, config.DefaultSystem(), net, collectives.AllToAll, S)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ha, err := RunCollective(a2aTp, sysCfgFor(a2aTp), net, collectives.AllToAll, S)
+		ha, err := RunCollective(a2aTp, config.DefaultSystem(), net, collectives.AllToAll, S)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +161,7 @@ func TestFig9AllToAllTopologyWins(t *testing.T) {
 
 func TestDispatcherThrottlesAndP0Accrues(t *testing.T) {
 	tp := torus(t, 2, 2, 2, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.PreferredSetSplits = 64
 	cfg.IssueThreshold = 4
 	cfg.IssueBatch = 8
@@ -195,7 +177,7 @@ func TestDispatcherThrottlesAndP0Accrues(t *testing.T) {
 func TestLIFOPrioritizesNewestCollective(t *testing.T) {
 	run := func(policy config.SchedulingPolicy) (firstDone, secondDone int) {
 		tp := torus(t, 2, 2, 2, topology.DefaultTorusConfig())
-		cfg := sysCfgFor(tp)
+		cfg := config.DefaultSystem()
 		cfg.SchedulingPolicy = policy
 		cfg.PreferredSetSplits = 32
 		cfg.IssueThreshold = 2
@@ -233,7 +215,7 @@ func TestLIFOPrioritizesNewestCollective(t *testing.T) {
 
 func TestPerPhaseStatsPopulated(t *testing.T) {
 	tp := torus(t, 4, 4, 4, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.Algorithm = config.Enhanced
 	h, err := RunCollective(tp, cfg, config.DefaultNetwork(), collectives.AllReduce, 4<<20)
 	if err != nil {
@@ -255,7 +237,7 @@ func TestPerPhaseStatsPopulated(t *testing.T) {
 
 func TestTinyCollectiveSingleChunk(t *testing.T) {
 	tp := torus(t, 2, 2, 1, topology.DefaultTorusConfig())
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +256,7 @@ func TestTinyCollectiveSingleChunk(t *testing.T) {
 
 func TestInvalidCollectiveSize(t *testing.T) {
 	tp := torus(t, 2, 2, 1, topology.DefaultTorusConfig())
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +267,7 @@ func TestInvalidCollectiveSize(t *testing.T) {
 
 func TestConcurrentCollectivesAllComplete(t *testing.T) {
 	tp := torus(t, 2, 4, 2, topology.DefaultTorusConfig())
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +297,7 @@ func TestSystemDeterminism(t *testing.T) {
 	durations := make([]uint64, 2)
 	for i := range durations {
 		tp := torus(t, 2, 2, 2, topology.DefaultTorusConfig())
-		h, err := RunCollective(tp, sysCfgFor(tp), config.DefaultNetwork(), collectives.AllReduce, 2<<20)
+		h, err := RunCollective(tp, config.DefaultSystem(), config.DefaultNetwork(), collectives.AllReduce, 2<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,8 +320,7 @@ func TestMappedCollectiveRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sysCfgFor(phys)
-	cfg.Topology = config.TorusND
+	cfg := config.DefaultSystem()
 	net := config.DefaultNetwork()
 	// Symmetric: every physical link on the 1D ring is inter-package.
 	net.LocalLinkBandwidth = net.PackageLinkBandwidth
@@ -348,7 +329,7 @@ func TestMappedCollectiveRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hn, err := RunCollective(phys, sysCfgFor(phys), net, collectives.AllReduce, 2<<20)
+	hn, err := RunCollective(phys, config.DefaultSystem(), net, collectives.AllReduce, 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +349,6 @@ func TestTorusNDCollectivesComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.TorusND
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 8, 1
 	for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
 		for _, alg := range []config.Algorithm{config.Baseline, config.Enhanced} {
 			c := cfg
@@ -395,8 +374,6 @@ func TestScaleOutCollectiveRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.TorusND
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 16, 1
 	cfg.Algorithm = config.Enhanced
 	inst, err := NewInstance(so, cfg, config.DefaultNetwork())
 	if err != nil {
@@ -434,7 +411,7 @@ func TestScaleOutCollectiveRuns(t *testing.T) {
 // overtakes queued lower-priority ones.
 func TestPrioritySchedulingOvertakes(t *testing.T) {
 	tp := torus(t, 2, 2, 2, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.SchedulingPolicy = config.Priority
 	cfg.PreferredSetSplits = 32
 	cfg.IssueThreshold = 2
@@ -468,7 +445,7 @@ func TestPrioritySchedulingOvertakes(t *testing.T) {
 // Equal priorities behave like FIFO.
 func TestPriorityStableAmongEquals(t *testing.T) {
 	tp := torus(t, 2, 2, 2, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.SchedulingPolicy = config.Priority
 	cfg.PreferredSetSplits = 32
 	cfg.IssueThreshold = 2
@@ -503,7 +480,7 @@ func TestPriorityStableAmongEquals(t *testing.T) {
 func TestStragglerSlowsCollective(t *testing.T) {
 	run := func(factor float64) uint64 {
 		tp := torus(t, 1, 8, 1, topology.DefaultTorusConfig())
-		cfg := sysCfgFor(tp)
+		cfg := config.DefaultSystem()
 		inst, err := NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
@@ -534,7 +511,7 @@ func TestStragglerSlowsCollective(t *testing.T) {
 func TestDegradedLinkSlowsCollective(t *testing.T) {
 	run := func(degrade bool) uint64 {
 		tp := torus(t, 1, 8, 1, topology.DefaultTorusConfig())
-		cfg := sysCfgFor(tp)
+		cfg := config.DefaultSystem()
 		inst, err := NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
@@ -571,7 +548,7 @@ func TestDegradedLinkSlowsCollective(t *testing.T) {
 // (1 for ring phases, 2 through a switch).
 func TestTrafficConservation(t *testing.T) {
 	tp := torus(t, 4, 4, 4, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.Algorithm = config.Enhanced
 	net := config.DefaultNetwork()
 	net.MaxPacketsPerMessage = 0
@@ -624,8 +601,7 @@ func TestInjectionPolicyNormal(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(policy config.InjectionPolicy) uint64 {
-		cfg := sysCfgFor(a2a)
-		cfg.GlobalSwitches = 2
+		cfg := config.DefaultSystem()
 		cfg.InjectionPolicy = policy
 		h, err := RunCollective(a2a, cfg, config.DefaultNetwork(), collectives.AllToAll, 4<<20)
 		if err != nil {
@@ -647,8 +623,6 @@ func TestSwitchedCollectivesComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.Topology = config.AllToAll
-	cfg.LocalSize, cfg.HorizontalSize = 4, 4
 	for _, op := range []collectives.Op{collectives.AllReduce, collectives.AllToAll} {
 		h, err := RunCollective(sw, cfg, config.DefaultNetwork(), op, 1<<20)
 		if err != nil {
@@ -662,7 +636,7 @@ func TestSwitchedCollectivesComplete(t *testing.T) {
 
 func TestSendPointToPoint(t *testing.T) {
 	tp := torus(t, 1, 8, 1, topology.DefaultTorusConfig())
-	inst, err := NewInstance(tp, sysCfgFor(tp), config.DefaultNetwork())
+	inst, err := NewInstance(tp, config.DefaultSystem(), config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +673,7 @@ func TestSendPointToPoint(t *testing.T) {
 // deterministically.
 func TestTrainingWithPriorityPolicy(t *testing.T) {
 	tp := torus(t, 2, 2, 1, topology.DefaultTorusConfig())
-	cfg := sysCfgFor(tp)
+	cfg := config.DefaultSystem()
 	cfg.SchedulingPolicy = config.Priority
 	inst, err := NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {

@@ -42,6 +42,9 @@ func NewA2A(local, packages int, cfg A2AConfig) (*A2A, error) {
 		switches: cfg.GlobalSwitches,
 		localCh:  cfg.LocalRings,
 	}
+	if _, ok := mulAdd(local, packages, cfg.GlobalSwitches); !ok {
+		return nil, errTooLarge(a.Name())
+	}
 	a.build()
 	return a, nil
 }
@@ -99,12 +102,6 @@ func (a *A2A) NumNPUs() int { return a.local * a.packages }
 
 // NumNodes implements Topology (NPUs plus global switches).
 func (a *A2A) NumNodes() int { return a.NumNPUs() + a.switches }
-
-// LocalSize returns M, the NPUs per package.
-func (a *A2A) LocalSize() int { return a.local }
-
-// Switches returns the global switch count.
-func (a *A2A) Switches() int { return a.switches }
 
 // Dims implements Topology: local first, then the direct package
 // dimension. The package dimension's channel count is the switch count

@@ -1,6 +1,10 @@
 package topology
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // Degenerate shapes — 1-node dimensions, single-active-dimension tori,
 // and the 1x1x1 point topology — must build cleanly and keep every
@@ -135,6 +139,62 @@ func TestSingleNPUPerPackageA2A(t *testing.T) {
 	for _, l := range a.Links() {
 		if l.Class == IntraPackage {
 			t.Fatalf("1-NPU packages must have no intra-package links, got %v", l)
+		}
+	}
+}
+
+// Node counts that overflow int must be rejected by name before anything
+// is allocated: an overflowed product used to build a zero-NPU fabric or
+// size allocations that exhaust memory.
+func TestConstructorsRejectNodeCountOverflow(t *testing.T) {
+	const big = 1 << 32
+	ring := func(size, lanes int) DimSpec {
+		return DimSpec{Kind: KindRing, Size: size, Lanes: lanes, Class: InterPackage}
+	}
+	pod := mustTorus(t, 1, 2, 2)
+	cases := []struct {
+		name  string
+		build func() (Topology, error)
+	}{
+		{"ring4294967296+ring4294967296 hier", func() (Topology, error) {
+			return NewHierarchical([]DimSpec{ring(big, 1), ring(big, 1)})
+		}},
+		{"sw2+sw4294967296 hier", func() (Topology, error) {
+			return NewHierarchical([]DimSpec{
+				{Kind: KindSwitch, Size: 2, Lanes: math.MaxInt / 2, Class: IntraPackage},
+				{Kind: KindSwitch, Size: big, Lanes: 1, Class: InterPackage},
+			})
+		}},
+		{"ring2+ring2 hier", func() (Topology, error) {
+			return NewHierarchical([]DimSpec{ring(2, 1), ring(2, math.MaxInt/2+1)})
+		}},
+		{"3037000500x3037000500x2 torus", func() (Topology, error) {
+			return NewTorus(3037000500, 3037000500, 2, DefaultTorusConfig())
+		}},
+		{"4294967296x4294967296 torus", func() (Topology, error) {
+			return NewTorusND([]int{big, big}, nil)
+		}},
+		{"4294967296x4294967296 alltoall", func() (Topology, error) {
+			return NewA2A(big, big, DefaultA2AConfig())
+		}},
+		{"1x4 alltoall", func() (Topology, error) {
+			return NewA2A(1, 4, A2AConfig{LocalRings: 1, GlobalSwitches: math.MaxInt - 3})
+		}},
+		{"1x4294967296 switched", func() (Topology, error) {
+			return NewSwitched(1, big, SwitchedConfig{LocalSwitches: big, GlobalSwitches: 1})
+		}},
+		{"pods of 1x2x2 torus", func() (Topology, error) {
+			return NewScaleOut(pod, math.MaxInt/2, 1)
+		}},
+	}
+	for _, tc := range cases {
+		tp, err := tc.build()
+		if err == nil {
+			t.Errorf("%s: built with %d NPUs, want an overflow error", tc.name, tp.NumNPUs())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: error %q does not name the topology", tc.name, err)
 		}
 	}
 }

@@ -34,19 +34,6 @@ func (k DimKind) String() string {
 	return fmt.Sprintf("DimKind(%d)", int(k))
 }
 
-// ParseDimKind inverts DimKind.String.
-func ParseDimKind(s string) (DimKind, error) {
-	switch s {
-	case "ring":
-		return KindRing, nil
-	case "fc":
-		return KindFullyConnected, nil
-	case "sw":
-		return KindSwitch, nil
-	}
-	return 0, fmt.Errorf("topology: unknown dimension kind %q", s)
-}
-
 // DimSpec describes one dimension of a Hierarchical composition. The link
 // class selects the bandwidth/latency/efficiency/packet-size bundle the
 // network layer assigns (Table IV); lane count multiplies physical links,
@@ -77,41 +64,54 @@ type fcKey struct {
 // topology: dimension 0 is the intra-package ("local") dimension, higher
 // dimensions connect NPUs with equal lower coordinates across groups —
 // the compositional network generalization of ASTRA-sim 2.0. Ring
-// dimensions build a hierarchical torus (NewTorusND is the all-ring
-// composition), fully-connected dimensions add a dedicated unidirectional
-// link per ordered pair per lane, and switch dimensions add per-group
-// switch nodes with up/down links per lane.
+// dimensions build a hierarchical torus (NewTorus and NewTorusND are
+// all-ring compositions), fully-connected dimensions add a dedicated
+// unidirectional link per ordered pair per lane, and switch dimensions
+// add per-group switch nodes with up/down links per lane.
 //
 // Node numbering: with sizes [S0, S1, ..., Sd] the package index is
 // mixed-radix over (S1..Sd) with S1 fastest, and NPU id = pkg*S0 + local.
-// Switch nodes occupy ids [NumNPUs, NumNodes).
+// Switch nodes occupy ids [NumNPUs, NumNodes). Links are created
+// dimension by dimension, visiting each dimension's groups in order of
+// their lowest NPU id. NewTorus alone builds in the torus layout, which
+// numbers NPUs and links as the 3D torus always has (see torusLayout).
 type Hierarchical struct {
 	specs   []DimSpec
 	chans   []int // scheduling channels per dimension
 	strides []int // package-index stride per dimension > 0
+	npus    int
 
 	links []LinkSpec
-	// rings[dim][group][channel] for ring dimensions (nil otherwise);
-	// slots[dim] maps a group key to its group slot.
+	// rings[dim][slot][channel] for ring dimensions (nil otherwise);
+	// slots[dim][npu] is the npu's group slot along dim.
 	rings [][][]*Ring
-	slots []map[int]int
+	slots [][]int
 	// swUp/swDown[dim][npu][lane] for switch dimensions (nil otherwise).
-	swUp, swDown []map[Node][]LinkID
+	swUp, swDown [][][]LinkID
 	// fc[dim] for fully-connected dimensions (nil otherwise).
 	fc []map[fcKey]LinkID
 
 	switches int // total switch nodes across all switch dimensions
-	// name overrides the composition's spec-derived name (NewTorusND).
+	// name overrides the composition's spec-derived name (the tori).
 	name string
+	// torusLayout reproduces the 3D torus numbering fault plans and
+	// goldens were written against (set only by NewTorus): the package
+	// index runs over (Sd..S1) with Sd fastest, and groups of dimensions
+	// above 0 are visited local-index-major.
+	torusLayout bool
 }
 
 // NewHierarchical builds the composition described by specs (at least one
 // dimension). Unit dimensions (Size 1) are legal and own no links.
 func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
+	return newHierarchical(specs, "", false)
+}
+
+func newHierarchical(specs []DimSpec, name string, torusLayout bool) (*Hierarchical, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("topology: hierarchical composition needs at least one dimension")
 	}
-	h := &Hierarchical{specs: append([]DimSpec(nil), specs...)}
+	h := &Hierarchical{specs: append([]DimSpec(nil), specs...), name: name, torusLayout: torusLayout}
 	for i, s := range specs {
 		switch s.Kind {
 		case KindRing, KindFullyConnected, KindSwitch:
@@ -131,18 +131,49 @@ func NewHierarchical(specs []DimSpec) (*Hierarchical, error) {
 		}
 		ch := s.Lanes
 		if s.Kind == KindRing && i > 0 {
-			ch = 2 * s.Lanes // split bidirectional rings
+			var ok bool
+			if ch, ok = mulAdd(2, s.Lanes, 0); !ok { // split bidirectional rings
+				return nil, fmt.Errorf("topology: %s: dimension %d has more ring channels than an int can count", h.Name(), i)
+			}
 		}
 		h.chans = append(h.chans, ch)
 	}
-	stride := 1
+	if err := h.countNodes(); err != nil {
+		return nil, err
+	}
 	h.strides = make([]int, len(specs))
-	for i := 1; i < len(specs); i++ {
+	stride := 1
+	for k := 1; k < len(specs); k++ {
+		i := k
+		if torusLayout {
+			i = len(specs) - k
+		}
 		h.strides[i] = stride
 		stride *= specs[i].Size
 	}
 	h.build()
 	return h, nil
+}
+
+// countNodes sets the NPU count and rejects compositions whose NPU or
+// node count overflows int, before anything is allocated for them.
+func (h *Hierarchical) countNodes() error {
+	npus, ok := 1, true
+	for _, s := range h.specs {
+		if npus, ok = mulAdd(npus, s.Size, 0); !ok {
+			return errTooLarge(h.Name())
+		}
+	}
+	nodes := npus
+	for _, s := range h.specs {
+		if s.Kind == KindSwitch && s.Size > 1 {
+			if nodes, ok = mulAdd(npus/s.Size, s.Lanes, nodes); !ok {
+				return errTooLarge(h.Name())
+			}
+		}
+	}
+	h.npus = npus
+	return nil
 }
 
 func (h *Hierarchical) addLink(src, dst Node, class LinkClass) LinkID {
@@ -172,108 +203,90 @@ func dimOf(i int) Dim {
 	return AxisDim(i - 1)
 }
 
-// groupKey identifies the group a node belongs to along a dimension: all
-// coordinates except that dimension's.
-func (h *Hierarchical) groupKey(dim int, n Node) int {
-	l, pkgCoords := h.coords(n)
-	if dim == 0 {
-		return int(n) / h.specs[0].Size // the package index
-	}
-	key := l
-	mult := h.specs[0].Size
-	for i := 1; i < len(h.specs); i++ {
-		if i == dim {
-			continue
-		}
-		key += pkgCoords[i] * mult
-		mult *= h.specs[i].Size
-	}
-	return key
-}
-
-// coords returns the local index and per-dimension package coordinates
-// (indexed by dimension; entry 0 unused).
-func (h *Hierarchical) coords(n Node) (int, []int) {
-	if n < 0 || int(n) >= h.NumNPUs() {
+// checkNode panics unless n is an NPU of h.
+func (h *Hierarchical) checkNode(n Node) {
+	if n < 0 || int(n) >= h.npus {
 		panic(fmt.Sprintf("topology: node %d out of range for %s", n, h.Name()))
 	}
-	l := int(n) % h.specs[0].Size
-	p := int(n) / h.specs[0].Size
-	c := make([]int, len(h.specs))
-	for i := 1; i < len(h.specs); i++ {
-		c[i] = p / h.strides[i] % h.specs[i].Size
-	}
-	return l, c
 }
 
 // dimGroup returns the ordered nodes sharing every coordinate with n
 // except along the given dimension.
 func (h *Hierarchical) dimGroup(dim int, n Node) []Node {
-	l, c := h.coords(n)
+	h.checkNode(n)
+	s0 := h.specs[0].Size
+	l, p := int(n)%s0, int(n)/s0
 	out := make([]Node, h.specs[dim].Size)
-	for v := 0; v < h.specs[dim].Size; v++ {
-		if dim == 0 {
-			p := 0
-			for i := 1; i < len(h.specs); i++ {
-				p += c[i] * h.strides[i]
-			}
-			out[v] = Node(p*h.specs[0].Size + v)
-			continue
+	if dim == 0 {
+		for v := range out {
+			out[v] = Node(p*s0 + v)
 		}
-		p := 0
-		for i := 1; i < len(h.specs); i++ {
-			coord := c[i]
-			if i == dim {
-				coord = v
-			}
-			p += coord * h.strides[i]
-		}
-		out[v] = Node(p*h.specs[0].Size + l)
+		return out
+	}
+	stride := h.strides[dim]
+	p -= p / stride % h.specs[dim].Size * stride // zero n's coordinate along dim
+	for v := range out {
+		out[v] = Node((p+v*stride)*s0 + l)
 	}
 	return out
 }
 
+// build creates every dimension's links and records each NPU's group slot.
+// Groups are visited in order of their lowest NPU id, or local-index-major
+// under the torus layout.
 func (h *Hierarchical) build() {
-	n := len(h.specs)
+	n, npus := len(h.specs), h.npus
+	s0 := h.specs[0].Size
+	pkgs := npus / s0
 	h.rings = make([][][]*Ring, n)
-	h.slots = make([]map[int]int, n)
-	h.swUp = make([]map[Node][]LinkID, n)
-	h.swDown = make([]map[Node][]LinkID, n)
+	h.slots = make([][]int, n)
+	h.swUp = make([][][]LinkID, n)
+	h.swDown = make([][][]LinkID, n)
 	h.fc = make([]map[fcKey]LinkID, n)
 	for dim, spec := range h.specs {
-		numGroups := h.NumNPUs() / spec.Size
-		seen := make(map[int]int, numGroups) // groupKey -> slot
+		slot := make([]int, npus)
+		for i := range slot {
+			slot[i] = -1
+		}
 		switch spec.Kind {
 		case KindRing:
-			h.rings[dim] = make([][]*Ring, numGroups)
+			h.rings[dim] = make([][]*Ring, 0, npus/spec.Size)
 		case KindSwitch:
-			h.swUp[dim] = make(map[Node][]LinkID, h.NumNPUs())
-			h.swDown[dim] = make(map[Node][]LinkID, h.NumNPUs())
+			h.swUp[dim] = make([][]LinkID, npus)
+			h.swDown[dim] = make([][]LinkID, npus)
 		case KindFullyConnected:
 			h.fc[dim] = make(map[fcKey]LinkID)
 		}
-		for v := 0; v < h.NumNPUs(); v++ {
-			key := h.groupKey(dim, Node(v))
-			if _, ok := seen[key]; ok {
+		groups := 0
+		for i := 0; i < npus; i++ {
+			v := i
+			if h.torusLayout {
+				v = i%pkgs*s0 + i/pkgs
+			}
+			if slot[v] >= 0 {
 				continue
 			}
-			slot := len(seen)
-			seen[key] = slot
 			base := h.dimGroup(dim, Node(v))
+			for _, m := range base {
+				slot[m] = groups
+			}
+			groups++
 			switch spec.Kind {
 			case KindRing:
 				chans := make([]*Ring, h.chans[dim])
 				for c := range chans {
 					chans[c] = h.makeRing(dimOf(dim), c, base, spec.Class)
 				}
-				h.rings[dim][slot] = chans
+				h.rings[dim] = append(h.rings[dim], chans)
 			case KindSwitch:
 				h.buildSwitchGroup(dim, spec, base)
 			case KindFullyConnected:
 				h.buildFCGroup(dim, spec, base)
 			}
 		}
-		h.slots[dim] = seen
+		if spec.Kind == KindRing {
+			h.slots[dim] = slot
+		}
 	}
 }
 
@@ -312,9 +325,6 @@ func (h *Hierarchical) buildFCGroup(dim int, spec DimSpec, base []Node) {
 	}
 }
 
-// Specs returns a copy of the composition's dimension specs.
-func (h *Hierarchical) Specs() []DimSpec { return append([]DimSpec(nil), h.specs...) }
-
 // Name implements Topology.
 func (h *Hierarchical) Name() string {
 	if h.name != "" {
@@ -328,13 +338,7 @@ func (h *Hierarchical) Name() string {
 }
 
 // NumNPUs implements Topology.
-func (h *Hierarchical) NumNPUs() int {
-	n := 1
-	for _, s := range h.specs {
-		n *= s.Size
-	}
-	return n
-}
+func (h *Hierarchical) NumNPUs() int { return h.npus }
 
 // NumNodes implements Topology.
 func (h *Hierarchical) NumNodes() int { return h.NumNPUs() + h.switches }
@@ -367,9 +371,20 @@ func (h *Hierarchical) dimIndex(d Dim) int {
 	panic(fmt.Sprintf("topology: %s has no dimension %v", h.Name(), d))
 }
 
-// Group implements Topology.
+// Group implements Topology. Ring dimensions return channel 0's node
+// slice, which callers must not modify.
 func (h *Hierarchical) Group(d Dim, n Node) []Node {
-	return h.dimGroup(h.dimIndex(d), n)
+	dim := h.dimIndex(d)
+	if h.specs[dim].Kind == KindRing {
+		return h.ringsOf(dim, n)[0].Nodes
+	}
+	return h.dimGroup(dim, n)
+}
+
+// ringsOf returns the channels of n's group along ring dimension dim.
+func (h *Hierarchical) ringsOf(dim int, n Node) []*Ring {
+	h.checkNode(n)
+	return h.rings[dim][h.slots[dim][n]]
 }
 
 // RingOf implements Topology. Panics on non-ring dimensions.
@@ -378,8 +393,7 @@ func (h *Hierarchical) RingOf(d Dim, n Node, channel int) *Ring {
 	if h.specs[dim].Kind != KindRing {
 		panic(fmt.Sprintf("topology: dimension %v of %s is %s, not a ring", d, h.Name(), h.specs[dim].Kind))
 	}
-	slot := h.slots[dim][h.groupKey(dim, n)]
-	chans := h.rings[dim][slot]
+	chans := h.ringsOf(dim, n)
 	return chans[channel%len(chans)]
 }
 
@@ -395,10 +409,11 @@ func (h *Hierarchical) PathLinks(d Dim, channel int, src, dst Node) []LinkID {
 	switch spec.Kind {
 	case KindRing:
 		r := h.RingOf(d, src, channel)
-		if next := r.Next(src); next != dst {
+		i := r.IndexOf(src)
+		if len(r.Links) == 0 || r.Nodes[(i+1)%len(r.Nodes)] != dst {
 			panic(fmt.Sprintf("topology: %d is not %d's successor on %v ring %d", dst, src, d, channel))
 		}
-		return []LinkID{r.LinkFrom(src)}
+		return r.Links[i : i+1 : i+1]
 	case KindFullyConnected:
 		lane := channel % spec.Lanes
 		id, ok := h.fc[dim][fcKey{lane, src, dst}]

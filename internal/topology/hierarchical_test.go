@@ -203,3 +203,39 @@ func TestHierarchicalDegenerateCompositions(t *testing.T) {
 		}
 	})
 }
+
+// Ring lookups sit on the per-message send path of every collective, so
+// RingOf and ring-dimension PathLinks must not allocate, on the 3D torus
+// and on a hier: all-ring composition alike.
+func TestRingLookupsDoNotAllocate(t *testing.T) {
+	torus := mustTorus(t, 4, 4, 4)
+	ring := DimSpec{Kind: KindRing, Size: 4, Lanes: 2, Class: InterPackage}
+	hier, err := NewHierarchical([]DimSpec{{Kind: KindRing, Size: 4, Lanes: 2, Class: IntraPackage}, ring, ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*Hierarchical{torus, hier} {
+		for _, d := range tp.Dims() {
+			n := Node(tp.NumNPUs() - 1)
+			c := d.Channels - 1
+			next := tp.RingOf(d.Dim, n, c).Next(n)
+			if a := testing.AllocsPerRun(100, func() { tp.RingOf(d.Dim, n, c) }); a != 0 {
+				t.Errorf("%s: RingOf(%v) allocates %v times", tp.Name(), d.Dim, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { tp.PathLinks(d.Dim, c, n, next) }); a != 0 {
+				t.Errorf("%s: PathLinks(%v) allocates %v times", tp.Name(), d.Dim, a)
+			}
+		}
+	}
+}
+
+// BenchmarkNewTorus16x8x16 measures building the largest torus the
+// benchmark's fabric workloads use.
+func BenchmarkNewTorus16x8x16(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTorus(16, 8, 16, DefaultTorusConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

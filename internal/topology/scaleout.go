@@ -44,6 +44,9 @@ func NewScaleOut(pod Topology, pods, spines int) (*ScaleOut, error) {
 		podNPUs:  pod.NumNPUs(),
 		podLinks: len(pod.Links()),
 	}
+	if _, ok := mulAdd(pods, s.podNPUs, spines); !ok {
+		return nil, errTooLarge(s.Name())
+	}
 	s.build()
 	return s, nil
 }
@@ -88,9 +91,6 @@ func (s *ScaleOut) NumNPUs() int { return s.pods * s.podNPUs }
 
 // NumNodes implements Topology.
 func (s *ScaleOut) NumNodes() int { return s.NumNPUs() + s.spines }
-
-// Pods returns the pod count.
-func (s *ScaleOut) Pods() int { return s.pods }
 
 // Dims implements Topology: the pod's dimensions followed by the direct
 // scale-out dimension (hierarchical collectives cross the spine last).

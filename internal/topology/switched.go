@@ -49,6 +49,13 @@ func NewSwitched(local, packages int, cfg SwitchedConfig) (*Switched, error) {
 		local: local, packages: packages,
 		localSwitches: cfg.LocalSwitches, globalSwitches: cfg.GlobalSwitches,
 	}
+	nodes, ok := mulAdd(local, packages, cfg.GlobalSwitches)
+	if ok {
+		_, ok = mulAdd(packages, cfg.LocalSwitches, nodes)
+	}
+	if !ok {
+		return nil, errTooLarge(s.Name())
+	}
 	s.build()
 	return s, nil
 }

@@ -1,13 +1,18 @@
 // Package topology models the logical scale-up topologies of the paper:
 // the hierarchical 3D torus (Fig. 3a) and the hierarchical alltoall
-// (Fig. 3b), together with the physical links each one owns.
+// (Fig. 3b), together with the physical links each one owns. A Topology
+// is the only description of a fabric: NPU and package counts, ring and
+// switch counts are read from it, never from the system config.
 //
 // A hierarchical torus of size MxNxK has a "local" dimension of M NPUs per
 // package connected by fast intra-package rings, and "horizontal" (N) and
 // "vertical" (K) dimensions of inter-package rings connecting NPUs with the
-// same local index across packages. The hierarchical alltoall of size MxN
-// keeps the local rings and connects every NPU to a set of global switches
-// that provide alltoall connectivity between packages.
+// same local index across packages. NewTorus builds it as an all-ring
+// Hierarchical composition, the ordered-dimension builder that also backs
+// N-dimensional tori and hier: specs. The hierarchical alltoall of size
+// MxN keeps the local rings and connects every NPU to a set of global
+// switches that provide alltoall connectivity between packages; it, the
+// switch-based and the scale-out topologies keep builders of their own.
 //
 // Every *bidirectional* inter-package ring is split into two unidirectional
 // rings (paper §III-C), and every unidirectional ring owns its own physical
@@ -19,6 +24,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 )
 
 // Node identifies a network endpoint. NPUs occupy ids [0, NumNPUs); global
@@ -231,6 +237,21 @@ type Topology interface {
 	PathLinks(d Dim, channel int, src, dst Node) []LinkID
 	// Links lists every physical link.
 	Links() []LinkSpec
+}
+
+// mulAdd returns a*b + c for a, b > 0 and c >= 0, with ok false when the
+// result overflows int. Constructors use it to reject NPU and node counts
+// an int cannot hold before they allocate anything for them.
+func mulAdd(a, b, c int) (n int, ok bool) {
+	if a > (math.MaxInt-c)/b {
+		return 0, false
+	}
+	return a*b + c, true
+}
+
+// errTooLarge names a topology whose NPU or node count overflows int.
+func errTooLarge(name string) error {
+	return fmt.Errorf("topology: %s has more nodes than an int can count", name)
 }
 
 // ringDirection returns base nodes in ascending (even channel) or

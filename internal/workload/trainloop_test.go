@@ -40,7 +40,6 @@ func newRemoteMemInstance(t *testing.T, bw float64, lat uint64) *system.Instance
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 1
 	cfg.RemoteMemBandwidth = bw
 	cfg.RemoteMemLatency = lat
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
@@ -205,7 +204,6 @@ func TestLIFONotWorseThanFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 1
 		cfg.SchedulingPolicy = policy
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
@@ -236,7 +234,6 @@ func TestScopedTrainingRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 2, 2, 2
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)

@@ -214,7 +214,6 @@ func TestPipelineRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.DefaultSystem()
-	cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 	inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +269,6 @@ func TestPipelineBubbleShrinksWithMicrobatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +305,6 @@ func TestPipeline1F1BNotSlowerThanGPipe(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := config.DefaultSystem()
-		cfg.LocalSize, cfg.HorizontalSize, cfg.VerticalSize = 1, 4, 1
 		inst, err := system.NewInstance(tp, cfg, config.DefaultNetwork())
 		if err != nil {
 			t.Fatal(err)

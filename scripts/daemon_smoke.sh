@@ -10,7 +10,9 @@
 #      served from the cache (X-Astrasim-Cache: hit, byte-identical
 #      result, run counter unchanged);
 #   3. sends a malformed submission, asserts a 4xx, and asserts the
-#      process is still alive and serving afterwards.
+#      process is still alive and serving afterwards;
+#   4. submits a topology whose NPU count overflows int, asserts a 4xx
+#      naming the topology, and asserts the daemon is still healthy.
 #
 # Requires: go, curl. No other dependencies.
 set -euo pipefail
@@ -86,5 +88,15 @@ curl -sf "$BASE/healthz" >/dev/null || fail "daemon unhealthy after malformed su
 curl -s -D "$TMP/h4" -o /dev/null "$BASE/jobs" -d "$SUBMISSION"
 grep -qi '^X-Astrasim-Cache: hit' "$TMP/h4" || fail "daemon not serving cache hits after malformed submission"
 echo "daemon_smoke: malformed submission rejected ($code), daemon still serving"
+
+# 4. Overflowing NPU count: a 4xx naming the topology, and the daemon
+#    stays healthy.
+code=$(curl -s -o "$TMP/r5" -w '%{http_code}' "$BASE/jobs" \
+  -d '{"topology": "hier:ring4294967296,ring4294967296", "collective": {"op": "allreduce", "bytes": 1024}}')
+case "$code" in 4??) ;; *) fail "overflowing topology returned $code, want 4xx: $(cat "$TMP/r5")" ;; esac
+grep -q 'ring4294967296+ring4294967296 hier' "$TMP/r5" ||
+  fail "overflow rejection does not name the topology: $(cat "$TMP/r5")"
+curl -sf "$BASE/healthz" >/dev/null || fail "daemon unhealthy after overflowing topology"
+echo "daemon_smoke: overflowing topology rejected ($code), daemon still healthy"
 
 echo "daemon_smoke: PASS"
